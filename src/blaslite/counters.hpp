@@ -64,6 +64,22 @@ private:
     OpCounts start_;
 };
 
+/// RAII scope that charges nothing: on exit the calling thread's counters
+/// are restored to their value at entry.  A composite kernel (the blocked
+/// banded Cholesky) runs its inner BLAS calls inside one and then charges its
+/// own total as a single call, so its count does not depend on how it is
+/// blocked.
+class UncountedScope {
+public:
+    UncountedScope() noexcept : saved_(thread_counts()) {}
+    ~UncountedScope() { thread_counts() = saved_; }
+    UncountedScope(const UncountedScope&) = delete;
+    UncountedScope& operator=(const UncountedScope&) = delete;
+
+private:
+    OpCounts saved_;
+};
+
 namespace detail {
 inline void charge(std::uint64_t flops, std::uint64_t rd, std::uint64_t wr) noexcept {
     OpCounts& c = thread_counts();

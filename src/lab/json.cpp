@@ -27,6 +27,19 @@ public:
 private:
     const std::string& s_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;
+
+    /// One level of array/object nesting, held while the container parses.
+    struct Nest {
+        explicit Nest(Parser& p) : p_(p) {
+            if (++p_.depth_ > kMaxJsonDepth)
+                fail("nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels", p_.pos_);
+        }
+        ~Nest() { --p_.depth_; }
+        Nest(const Nest&) = delete;
+        Nest& operator=(const Nest&) = delete;
+        Parser& p_;
+    };
 
     void skip_ws() {
         while (pos_ < s_.size() &&
@@ -58,6 +71,7 @@ private:
         Json v;
         switch (c) {
         case '{': {
+            const Nest nest(*this);
             v.kind_ = Json::Kind::Object;
             v.obj_ = std::make_shared<JsonObject>();
             ++pos_;
@@ -77,6 +91,7 @@ private:
             }
         }
         case '[': {
+            const Nest nest(*this);
             v.kind_ = Json::Kind::Array;
             v.arr_ = std::make_shared<JsonArray>();
             ++pos_;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -22,6 +23,12 @@ public:
     using std::runtime_error::runtime_error;
 };
 
+/// Deepest array/object nesting Json::parse accepts.  The parser recurses
+/// once per level, and a request is client input: without a bound a few
+/// hundred KB of "[[[..." exhausts the stack.  Requests and reports nest a
+/// handful of levels.
+inline constexpr std::size_t kMaxJsonDepth = 128;
+
 class Json;
 using JsonObject = std::map<std::string, Json>;
 using JsonArray = std::vector<Json>;
@@ -34,7 +41,8 @@ public:
     enum class Kind { Null, Bool, Number, String, Array, Object };
 
     Json() = default;
-    static Json parse(const std::string& text); ///< throws ParseError
+    /// Throws ParseError on malformed text or nesting deeper than kMaxJsonDepth.
+    static Json parse(const std::string& text);
 
     [[nodiscard]] Kind kind() const noexcept { return kind_; }
     [[nodiscard]] bool is_object() const noexcept { return kind_ == Kind::Object; }

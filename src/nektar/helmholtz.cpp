@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 #include "blaslite/blas.hpp"
 #include "parallel/scratch.hpp"
@@ -78,7 +79,7 @@ HelmholtzDirect::HelmholtzDirect(std::shared_ptr<const Discretization> disc, dou
         h.band(0, du) = 1.0;
     }
 
-    if (!chol_.factor(h))
+    if (!chol_.factor(std::move(h)))
         throw std::runtime_error("HelmholtzDirect: matrix not positive definite "
                                  "(all-Neumann Poisson needs pin_first_dof)");
 }

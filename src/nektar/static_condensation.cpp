@@ -6,6 +6,7 @@
 #include <deque>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "blaslite/blas.hpp"
 
@@ -159,7 +160,7 @@ CondensedHelmholtz::CondensedHelmholtz(std::shared_ptr<const Discretization> dis
         }
         schur.band(0, du) = 1.0;
     }
-    if (!chol_.factor(schur))
+    if (!chol_.factor(std::move(schur)))
         throw std::runtime_error("CondensedHelmholtz: Schur complement not SPD");
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "lab/fault_profiles.hpp"
 #include "lab/json.hpp"
 #include "lab/scenario.hpp"
@@ -86,6 +88,41 @@ TEST(ScenarioParse, RejectsWrongTypesAndBadEnums) {
     EXPECT_THROW((void)ScenarioRequest::parse(R"({"schema":99})"), ParseError);
     EXPECT_THROW((void)ScenarioRequest::parse("[1,2]"), ParseError);
     EXPECT_THROW((void)ScenarioRequest::parse(R"({"ranks":1,"ranks":2})"), ParseError);
+}
+
+std::string nested_arrays(std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+}
+
+std::string nested_objects(std::size_t depth) {
+    std::string s;
+    for (std::size_t i = 0; i < depth; ++i) s += "{\"a\":";
+    s += "1";
+    s += std::string(depth, '}');
+    return s;
+}
+
+TEST(JsonDepth, NestingIsBoundedNotACrash) {
+    EXPECT_NO_THROW((void)lab::Json::parse(nested_arrays(lab::kMaxJsonDepth)));
+    EXPECT_NO_THROW((void)lab::Json::parse(nested_objects(lab::kMaxJsonDepth)));
+    EXPECT_THROW((void)lab::Json::parse(nested_arrays(lab::kMaxJsonDepth + 1)), ParseError);
+    EXPECT_THROW((void)lab::Json::parse(nested_objects(lab::kMaxJsonDepth + 1)), ParseError);
+}
+
+TEST(JsonDepth, DeepArrayStringIsAParseError) {
+    // ~400 KB of brackets: deep enough to overflow an unbounded recursion.
+    try {
+        (void)lab::Json::parse(nested_arrays(200000));
+        FAIL() << "deep array accepted";
+    } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos);
+    }
+}
+
+TEST(JsonDepth, DeepObjectStringIsAParseError) {
+    EXPECT_THROW((void)lab::Json::parse(nested_objects(100000)), ParseError);
+    EXPECT_THROW((void)ScenarioRequest::parse(R"({"machine":)" + nested_objects(100000) + "}"),
+                 ParseError);
 }
 
 TEST(ScenarioSweep, SelectorsAndRankSweepMirrorTheOldCliSemantics) {

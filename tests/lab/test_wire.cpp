@@ -112,4 +112,30 @@ TEST(Wire, ServiceConversationOverASocket) {
     server.join();
 }
 
+TEST(Wire, DeeplyNestedRequestIsAnErrorAnswer) {
+    SocketPair sp;
+    lab::Service service;
+    std::thread server([&] { lab::wire::handle_connection(sp.server(), service); });
+
+    // ~800 KB of brackets, far past the parser's depth limit: the daemon
+    // answers with an error frame instead of overflowing its stack, and the
+    // connection stays up for the next request.
+    const std::string deep = lab::wire::request(
+        sp.client(),
+        "{\"machine\":" + std::string(400000, '[') + std::string(400000, ']') + "}");
+    EXPECT_NE(deep.find("\"error\""), std::string::npos);
+    EXPECT_NE(deep.find("nesting"), std::string::npos);
+
+    lab::ScenarioRequest req;
+    req.machine = "RoadRunner";
+    req.net = "RoadRunner myr.";
+    req.ranks = 4;
+    const std::string ok = lab::wire::request(sp.client(), req.canonical_json());
+    EXPECT_NE(ok.find("\"schema_version\":2"), std::string::npos);
+
+    ::close(sp.client());
+    sp.a = -1;
+    server.join();
+}
+
 } // namespace
