@@ -250,10 +250,8 @@ perf::RunReport Evaluator::evaluate_measured(const ScenarioRequest& req) {
 
     perf::RunReport rep = base_report(req);
     // Stage rows from the probe's instrumented breakdown (host times are
-    // masked by to_canonical_json, so the stored bytes stay deterministic);
-    // the global metrics snapshot is deliberately left out.
-    perf::RunReport probe_rep =
-        perf::report(rep.bench, &data.bd, nullptr, /*with_global_metrics=*/false);
+    // masked by to_canonical_json, so the stored bytes stay deterministic).
+    perf::RunReport probe_rep = perf::report(rep.bench, &data.bd);
     rep.steps = probe_rep.steps;
     rep.stages = std::move(probe_rep.stages);
     rep.metrics = std::move(probe_rep.metrics);

@@ -1,5 +1,6 @@
 #include "lab/scenario.hpp"
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 
@@ -55,13 +56,21 @@ void kv_f64(std::string& out, const char* key, double v) {
     out += ',';
 }
 
+/// The largest integer a JSON number (an IEEE double) carries exactly.
+constexpr std::uint64_t kMaxExactInteger = std::uint64_t{1} << 53;
+constexpr std::uint64_t kMaxInt = static_cast<std::uint64_t>(INT_MAX);
+
 /// Reads a non-negative integer field that our writers emit as a bare
-/// integer token (doubles representing them exactly up to 2^53).
-std::uint64_t as_count(const Json& v, const char* field) {
+/// integer token, rejecting values above `max` before any cast (so an
+/// oversized or infinite number is a ParseError, not a wrap or UB).
+std::uint64_t as_count(const Json& v, const char* field, std::uint64_t max) {
     const double d = v.as_number();
     if (d < 0.0 || d != std::floor(d))
         throw ParseError(std::string("field \"") + field +
                          "\" must be a non-negative integer");
+    if (d > static_cast<double>(max))
+        throw ParseError(std::string("field \"") + field + "\" must be <= " +
+                         std::to_string(max));
     return static_cast<std::uint64_t>(d);
 }
 
@@ -113,7 +122,7 @@ ScenarioRequest ScenarioRequest::parse(const std::string& json) {
     ScenarioRequest req;
     for (const auto& [key, value] : doc.as_object()) {
         if (key == "schema") {
-            if (as_count(value, "schema") != static_cast<std::uint64_t>(kSchemaVersion))
+            if (as_count(value, "schema", kMaxInt) != static_cast<std::uint64_t>(kSchemaVersion))
                 throw ParseError("unsupported ScenarioRequest schema " +
                                  std::to_string(value.as_number()) + " (this build speaks " +
                                  std::to_string(kSchemaVersion) + ")");
@@ -124,9 +133,9 @@ ScenarioRequest ScenarioRequest::parse(const std::string& json) {
         } else if (key == "net") {
             req.net = value.as_string();
         } else if (key == "ranks") {
-            req.ranks = static_cast<int>(as_count(value, "ranks"));
+            req.ranks = static_cast<int>(as_count(value, "ranks", kMaxInt));
         } else if (key == "seed") {
-            req.seed = as_count(value, "seed");
+            req.seed = as_count(value, "seed", kMaxExactInteger);
         } else if (key == "smoke") {
             req.smoke = value.as_bool();
         } else if (key == "solver") {
@@ -142,7 +151,7 @@ ScenarioRequest ScenarioRequest::parse(const std::string& json) {
         } else if (key == "dof_per_rank") {
             req.dof_per_rank = value.as_number();
         } else if (key == "steps") {
-            req.steps = static_cast<int>(as_count(value, "steps"));
+            req.steps = static_cast<int>(as_count(value, "steps", kMaxInt));
         } else {
             throw ParseError("unknown ScenarioRequest field \"" + key + "\"");
         }

@@ -62,8 +62,8 @@ struct ScenarioRequest {
     void validate() const;
 
     /// Sweep-filter semantics shared by every bench: true when the filter
-    /// field is empty or `name` contains it as a substring.  This replaces
-    /// the free-form benchutil::Cli::matches() lookups.
+    /// field is empty or `name` contains it as a substring
+    /// (benchutil::Cli::machine_selected/net_selected forward here).
     [[nodiscard]] bool selects_machine(const std::string& name) const {
         return machine.empty() || name.find(machine) != std::string::npos;
     }

@@ -14,34 +14,4 @@ void Histogram::observe(double v) {
     ++buckets[exp];
 }
 
-void MetricsRegistry::add(std::string_view name, double delta) {
-    std::lock_guard<std::mutex> g(mu_);
-    data_.counters[std::string(name)] += delta;
-}
-
-void MetricsRegistry::set(std::string_view name, double value) {
-    std::lock_guard<std::mutex> g(mu_);
-    data_.gauges[std::string(name)] = value;
-}
-
-void MetricsRegistry::observe(std::string_view name, double value) {
-    std::lock_guard<std::mutex> g(mu_);
-    data_.histograms[std::string(name)].observe(value);
-}
-
-MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
-    std::lock_guard<std::mutex> g(mu_);
-    return data_;
-}
-
-void MetricsRegistry::reset() {
-    std::lock_guard<std::mutex> g(mu_);
-    data_ = Snapshot{};
-}
-
-MetricsRegistry& metrics() {
-    static MetricsRegistry m;
-    return m;
-}
-
 } // namespace obs

@@ -3,16 +3,13 @@
 #include <cstdint>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <string>
-#include <string_view>
 
 /// \file metrics.hpp
-/// Process-wide metrics registry: named counters, gauges and power-of-two
-/// histograms with deterministic (name-sorted) ordering, so snapshots can be
-/// embedded in a RunReport and diffed across runs.  The registry absorbs the
-/// op-counter and stage-stat style accounting that used to be scattered per
-/// subsystem; `perf::report()` folds a snapshot into every RunReport.
+/// A run's named counters, gauges and power-of-two histograms with
+/// deterministic (name-sorted) ordering, so they can be embedded in a
+/// RunReport and diffed across runs.  Each report owns its own Metrics:
+/// there is no process-global registry.
 namespace obs {
 
 /// Power-of-two bucketed histogram: each sample lands in the bucket of its
@@ -29,30 +26,11 @@ struct Histogram {
     [[nodiscard]] double mean() const { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
 };
 
-class MetricsRegistry {
-public:
-    /// Adds `delta` to counter `name` (creates it at zero).
-    void add(std::string_view name, double delta = 1.0);
-    /// Sets gauge `name` to `value` (last write wins).
-    void set(std::string_view name, double value);
-    /// Records one sample into histogram `name`.
-    void observe(std::string_view name, double value);
-
-    struct Snapshot {
-        std::map<std::string, double> counters;
-        std::map<std::string, double> gauges;
-        std::map<std::string, Histogram> histograms;
-    };
-    [[nodiscard]] Snapshot snapshot() const;
-
-    void reset();
-
-private:
-    mutable std::mutex mu_;
-    Snapshot data_;
+/// One run's metrics, as embedded in its RunReport's `metrics` block.
+struct Metrics {
+    std::map<std::string, double> counters;
+    std::map<std::string, double> gauges;
+    std::map<std::string, Histogram> histograms;
 };
-
-/// The process-global registry.
-[[nodiscard]] MetricsRegistry& metrics();
 
 } // namespace obs

@@ -183,11 +183,9 @@ void RunReport::write_json(const std::string& path) const {
     std::fclose(f);
 }
 
-RunReport report(std::string bench, const StageBreakdown* bd, const simmpi::RankReport* rank,
-                 bool with_global_metrics) {
+RunReport report(std::string bench, const StageBreakdown* bd, const simmpi::RankReport* rank) {
     RunReport rep;
     rep.bench = std::move(bench);
-    if (with_global_metrics) rep.metrics = obs::metrics().snapshot();
 
     if (bd != nullptr) {
         StageBreakdown folded = *bd;

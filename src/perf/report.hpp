@@ -12,11 +12,10 @@
 /// \file report.hpp
 /// The RunReport: one versioned JSON schema every benchmark emits
 /// (bench/run_report_schema.json is the committed contract), and
-/// perf::report() — the single entry point that folds a StageBreakdown,
-/// a rank's comm fault/overlap logs and the global obs metrics registry
-/// into it.  This replaces both the per-bench hand-rolled JSON emitters
-/// and the per-subsystem total_* getters that used to live on
-/// StageBreakdown / simmpi::Comm.
+/// perf::report() — the single entry point that folds a StageBreakdown
+/// and a rank's comm fault/overlap logs into it.  This replaces both the
+/// per-bench hand-rolled JSON emitters and the per-subsystem total_*
+/// getters that used to live on StageBreakdown / simmpi::Comm.
 namespace perf {
 
 /// One stage of the 7-stage splitting pipeline (row 0 collects comm events
@@ -65,7 +64,7 @@ struct RunReport {
     std::map<std::string, std::string> meta; ///< machine/net/ranks/seed/threads/...
     int steps = 0;                           ///< solver time steps covered (0 = n/a)
     std::vector<StageRow> stages;            ///< empty for kernel micro-benches
-    obs::MetricsRegistry::Snapshot metrics;
+    obs::Metrics metrics;
     std::vector<Case> cases;
 
     [[nodiscard]] std::string to_json() const;
@@ -87,12 +86,9 @@ struct RunReport {
 /// "comm.retransmits", "comm.fault_seconds", "comm.overlap_hidden_seconds").
 /// When `rank` is also given, its fault and overlap logs are folded on top
 /// first (pass rank = nullptr if the breakdown already absorbed them via
-/// add_comm_faults/add_comm_overlap).  The global obs::metrics() snapshot
-/// is included unless `with_global_metrics` is false — the cluster lab's
-/// evaluator opts out because that registry accumulates across requests
-/// and a stored report must be a pure function of its request.
+/// add_comm_faults/add_comm_overlap).  The result depends on nothing but
+/// its arguments, so a stored report is a pure function of its request.
 [[nodiscard]] RunReport report(std::string bench, const StageBreakdown* bd = nullptr,
-                               const simmpi::RankReport* rank = nullptr,
-                               bool with_global_metrics = true);
+                               const simmpi::RankReport* rank = nullptr);
 
 } // namespace perf

@@ -6,8 +6,8 @@
 
 /// \file scheduler.hpp
 /// Run-to-completion fiber tasks multiplexed over the deterministic host
-/// thread pool — the engine that lets simmpi scale past "one OS thread per
-/// rank".
+/// thread pool — how simmpi::World::run executes its ranks, so a world of
+/// thousands of ranks costs fiber stacks rather than OS threads.
 ///
 /// Each task is a ucontext fiber with its own guard-paged stack.  A task
 /// runs until it parks (a blocking recv or collective rendezvous with no

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "lab/fault_profiles.hpp"
@@ -88,6 +89,23 @@ TEST(ScenarioParse, RejectsWrongTypesAndBadEnums) {
     EXPECT_THROW((void)ScenarioRequest::parse(R"({"schema":99})"), ParseError);
     EXPECT_THROW((void)ScenarioRequest::parse("[1,2]"), ParseError);
     EXPECT_THROW((void)ScenarioRequest::parse(R"({"ranks":1,"ranks":2})"), ParseError);
+}
+
+TEST(ScenarioParse, OutOfRangeCountsAreRejectedNotWrapped) {
+    // A count beyond its field's range must fail, not wrap (2^32 + 1 ranks
+    // would alias the store entry of a 1-rank request) or reach an
+    // out-of-range double -> integer cast (1e999, 1e20).
+    EXPECT_THROW((void)ScenarioRequest::parse(R"({"ranks":4294967297})"), ParseError);
+    EXPECT_THROW((void)ScenarioRequest::parse(R"({"steps":4294967296})"), ParseError);
+    EXPECT_THROW((void)ScenarioRequest::parse(R"({"ranks":1e999})"), ParseError);
+    EXPECT_THROW((void)ScenarioRequest::parse(R"({"seed":1e20})"), ParseError);
+    // The bounds themselves are accepted.
+    EXPECT_EQ(ScenarioRequest::parse(R"({"ranks":2147483647})").ranks, 2147483647);
+    EXPECT_EQ(ScenarioRequest::parse(R"({"steps":2147483647})").steps, 2147483647);
+    EXPECT_EQ(ScenarioRequest::parse(R"({"seed":9007199254740992})").seed,
+              std::uint64_t{1} << 53);
+    EXPECT_THROW((void)ScenarioRequest::parse(R"({"ranks":2147483648})"), ParseError);
+    EXPECT_THROW((void)ScenarioRequest::parse(R"({"seed":9007199254740994})"), ParseError);
 }
 
 std::string nested_arrays(std::size_t depth) {

@@ -5,10 +5,12 @@
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
-/// The Engine::Tasks fiber scheduler: bit-identity against the classic
-/// one-thread-per-rank engine, determinism at rank counts no thread engine
+/// The fiber scheduler World::run executes ranks on: bit-identity against
+/// committed digests, determinism at rank counts no thread-per-rank runtime
 /// could host, exact quiescence deadlock detection, and the oversubscription
 /// diagnostics.
 namespace {
@@ -50,68 +52,77 @@ void mixed_program(simmpi::Comm& c) {
     c.advance_compute(1e-9 * std::accumulate(recv.begin(), recv.end(), 0.0));
 }
 
-std::vector<simmpi::RankReport> run_mixed(int p, simmpi::Engine engine) {
-    simmpi::World world(p, test_net(), engine);
+std::vector<simmpi::RankReport> run_mixed(int p) {
+    simmpi::World world(p, test_net());
     return world.run(mixed_program);
 }
 
-TEST(TaskScheduler, TasksIsTheDefaultEngine) {
-    simmpi::World world(4, test_net());
-    EXPECT_EQ(world.engine(), simmpi::Engine::Tasks);
-}
-
-TEST(TaskScheduler, TasksMatchesThreadsBitForBit) {
-    for (const int p : {2, 4, 6, 16}) {
-        const auto tasks = run_mixed(p, simmpi::Engine::Tasks);
-        const auto threads = run_mixed(p, simmpi::Engine::Threads);
-        ASSERT_EQ(tasks.size(), threads.size());
-        for (int r = 0; r < p; ++r) {
-            const auto& a = tasks[static_cast<std::size_t>(r)];
-            const auto& b = threads[static_cast<std::size_t>(r)];
-            EXPECT_EQ(a.cpu_seconds, b.cpu_seconds) << "p=" << p << " rank " << r;
-            EXPECT_EQ(a.wall_seconds, b.wall_seconds) << "p=" << p << " rank " << r;
-            EXPECT_EQ(a.log, b.log) << "p=" << p << " rank " << r;
-            EXPECT_EQ(a.overlap_log, b.overlap_log) << "p=" << p << " rank " << r;
-        }
-    }
-}
-
-/// FNV-1a over the bit patterns of every rank's clocks: one word capturing
-/// the full virtual timing of a run.
+/// FNV-1a over every rank's clock bit patterns and its CommLog and
+/// OverlapLog entries: one word capturing the full virtual outcome of a run.
 std::uint64_t run_digest(const std::vector<simmpi::RankReport>& reports) {
     std::uint64_t h = 0xcbf29ce484222325ull;
-    const auto mix = [&](double v) {
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        std::memcpy(&bits, &v, sizeof(bits));
+    const auto mix = [&](std::uint64_t bits) {
         for (int i = 0; i < 8; ++i) {
             h ^= (bits >> (8 * i)) & 0xffu;
             h *= 1099511628211ull;
         }
     };
+    const auto mix_f = [&](double v) {
+        std::uint64_t bits;
+        static_assert(sizeof(bits) == sizeof(v));
+        std::memcpy(&bits, &v, sizeof(bits));
+        mix(bits);
+    };
     for (const auto& r : reports) {
-        mix(r.cpu_seconds);
-        mix(r.wall_seconds);
+        mix_f(r.cpu_seconds);
+        mix_f(r.wall_seconds);
+        for (const auto& [stage, events] : r.log) {
+            mix(static_cast<std::uint64_t>(stage));
+            for (const auto& [key, count] : events) {
+                mix(static_cast<std::uint64_t>(key.kind));
+                mix(key.bytes);
+                mix(key.overlapped ? 1u : 0u);
+                mix(key.group);
+                mix(key.groups);
+                mix(count);
+            }
+        }
+        for (const auto& [stage, hidden] : r.overlap_log) {
+            mix(static_cast<std::uint64_t>(stage));
+            mix_f(hidden);
+        }
     }
     return h;
 }
 
+TEST(TaskScheduler, MixedProgramMatchesCommittedDigests) {
+    // Recorded when a one-OS-thread-per-rank engine still existed beside the
+    // fiber scheduler: both produced these exact digests.  A change in any
+    // clock bit, log entry or overlap credit of the mixed program fails here.
+    const std::pair<int, std::uint64_t> expected[] = {
+        {2, 0xe61d9ca5d3bc3eadull},
+        {4, 0x8db4a8b472dfb4cdull},
+        {6, 0xaf7e353bf7747d41ull},
+        {16, 0xee16964304e9cba5ull},
+    };
+    for (const auto& [p, digest] : expected)
+        EXPECT_EQ(run_digest(run_mixed(p)), digest) << "p=" << p;
+}
+
 TEST(TaskScheduler, TwoHundredFiftySixRanksAreDeterministic) {
-    // A rank count the thread engine refuses outright on most hosts; the
-    // task engine must both complete it and reproduce it bit-for-bit.
-    const auto a = run_mixed(256, simmpi::Engine::Tasks);
-    const auto b = run_mixed(256, simmpi::Engine::Tasks);
+    // The scheduler must both complete a 256-rank run and reproduce it
+    // bit-for-bit.
+    const auto a = run_mixed(256);
+    const auto b = run_mixed(256);
     ASSERT_EQ(a.size(), 256u);
     EXPECT_EQ(run_digest(a), run_digest(b));
-    for (int r = 0; r < 256; ++r)
-        EXPECT_EQ(a[static_cast<std::size_t>(r)].log, b[static_cast<std::size_t>(r)].log);
 }
 
 TEST(TaskScheduler, QuiescenceDetectsMissingSendExactly) {
-    // Rank 1 waits for a message nobody sends.  Under Engine::Tasks this is
-    // caught by the scheduler's exact quiescence check (no runnable task,
-    // one parked), not a timeout, so it fires immediately.
-    simmpi::World world(2, test_net(), simmpi::Engine::Tasks);
+    // Rank 1 waits for a message nobody sends.  This is caught by the
+    // scheduler's exact quiescence check (no runnable task, one parked),
+    // not a timeout, so it fires immediately.
+    simmpi::World world(2, test_net());
     EXPECT_THROW(world.run([](simmpi::Comm& c) {
         if (c.rank() == 1) {
             std::vector<double> buf(1);
@@ -122,7 +133,7 @@ TEST(TaskScheduler, QuiescenceDetectsMissingSendExactly) {
 }
 
 TEST(TaskScheduler, QuiescenceDetectsAbandonedCollective) {
-    simmpi::World world(3, test_net(), simmpi::Engine::Tasks);
+    simmpi::World world(3, test_net());
     EXPECT_THROW(world.run([](simmpi::Comm& c) {
         if (c.rank() != 0) c.barrier(); // rank 0 never enters
     }),
@@ -130,7 +141,7 @@ TEST(TaskScheduler, QuiescenceDetectsAbandonedCollective) {
 }
 
 TEST(TaskScheduler, WorldIsReusableAfterADetectedDeadlock) {
-    simmpi::World world(2, test_net(), simmpi::Engine::Tasks);
+    simmpi::World world(2, test_net());
     EXPECT_THROW(world.run([](simmpi::Comm& c) {
         if (c.rank() == 0) {
             std::vector<double> buf(1);
@@ -147,7 +158,7 @@ TEST(TaskScheduler, WorldIsReusableAfterADetectedDeadlock) {
 }
 
 TEST(Oversubscription, TasksOverTheConfiguredLimitIsDiagnosed) {
-    simmpi::World world(64, test_net(), simmpi::Engine::Tasks);
+    simmpi::World world(64, test_net());
     world.set_max_tasks(16);
     try {
         world.run([](simmpi::Comm&) {});
@@ -160,30 +171,17 @@ TEST(Oversubscription, TasksOverTheConfiguredLimitIsDiagnosed) {
 }
 
 TEST(Oversubscription, RaisingTheLimitUnblocksTheSameWorld) {
-    simmpi::World world(64, test_net(), simmpi::Engine::Tasks);
+    simmpi::World world(64, test_net());
     world.set_max_tasks(16);
     EXPECT_THROW(world.run([](simmpi::Comm&) {}), simmpi::OversubscriptionError);
     world.set_max_tasks(64);
     EXPECT_EQ(world.run([](simmpi::Comm&) {}).size(), 64u);
 }
 
-TEST(Oversubscription, ThreadEngineRefusesThousandsOfRanks) {
-    // The thread engine's ceiling is a hard constant: past it the guidance
-    // is to use Engine::Tasks, and the error must say so before any OS
-    // thread is spawned.
-    simmpi::World world(4096, test_net(), simmpi::Engine::Threads);
-    try {
-        world.run([](simmpi::Comm&) {});
-        FAIL() << "expected OversubscriptionError";
-    } catch (const simmpi::OversubscriptionError& e) {
-        EXPECT_NE(std::string(e.what()).find("Tasks"), std::string::npos) << e.what();
-    }
-}
-
 TEST(TaskScheduler, ThousandsOfMostlyIdleRanksComplete) {
     // 4096 fiber ranks with a light program: the MAP_NORESERVE stacks keep
     // this cheap, and every rank's collective must still rendezvous.
-    simmpi::World world(4096, test_net(), simmpi::Engine::Tasks);
+    simmpi::World world(4096, test_net());
     const auto reports = world.run([](simmpi::Comm& c) {
         const double sum = c.allreduce_sum(1.0);
         EXPECT_EQ(sum, 4096.0);

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 
 namespace {
 
@@ -165,6 +166,13 @@ TEST(SimMpi, CommLogRecordsEvents) {
     const double t_slow = simmpi::price_log(log, slow, 2);
     EXPECT_GT(t_fast, 0.0);
     EXPECT_GT(t_slow, t_fast);
+}
+
+TEST(SimMpi, NonPositiveRankCountIsInvalidArgument) {
+    // Rejected before the per-rank mailboxes are sized: -1 must not reach a
+    // vector allocation (which would throw std::length_error instead).
+    EXPECT_THROW(simmpi::World(0, test_net()), std::invalid_argument);
+    EXPECT_THROW(simmpi::World(-1, test_net()), std::invalid_argument);
 }
 
 TEST(SimMpi, RankExceptionPropagates) {
