@@ -1,21 +1,15 @@
 #!/usr/bin/env python3
 """Perf-regression gate for bench_hotpath.
 
-Compares a freshly measured BENCH_hotpath.json against one or more committed
-baselines and fails when any gated kernel of any case got more than
---threshold slower.  Two baselines are committed:
-
-  bench/BENCH_hotpath_baseline.json  — the dense batched engine (gate its
-                                       "batched_ms" metric group)
-  bench/BENCH_sumfact_baseline.json  — the sum-factorised engine (gate its
-                                       "sumfact_ms" metric group)
-
-Both files are RunReports (see bench/run_report_schema.json): the sweep lives
-in the top-level "cases" array as flat objects whose kernel timings use
-dotted keys ("batched_ms.to_quad", "sumfact_ms.grad", ...).  --baseline and
---metric-group repeat in lockstep: the i-th baseline is gated on the i-th
-group (a single --metric-group applies to every baseline; the default is
-"batched_ms").
+Compares a freshly measured BENCH_hotpath.json against the committed
+baseline, bench/BENCH_hotpath_baseline.json, and fails when any gated kernel
+of any case got more than --threshold slower.  The baseline is a RunReport
+(see bench/run_report_schema.json): the sweep lives in the top-level "cases"
+array as flat objects whose kernel timings use dotted keys
+("batched_ms.to_quad", "sumfact_ms.grad", ...).  Each --metric-group names
+one engine's timings to gate against it: "batched_ms" for the dense batched
+engine, "sumfact_ms" for the sum-factorised one (repeat the flag to gate
+both; the default is "batched_ms").
 
 CI machines are not the baseline machine, so raw milliseconds are not
 comparable across runs.  The gate therefore self-normalises: for every
@@ -32,15 +26,14 @@ a failure.
 Single smoke runs are noisy at microsecond kernel sizes, so --current may be
 given several times: the gate takes the elementwise minimum over the runs
 (minima are far more stable than means under scheduler noise).  The committed
-baselines should be produced the same way.
+baseline should be produced the same way.
 
 Usage:
   compare_bench.py --baseline bench/BENCH_hotpath_baseline.json \
-                   --baseline bench/BENCH_sumfact_baseline.json \
                    --metric-group batched_ms --metric-group sumfact_ms \
                    --current run1.json --current run2.json [--threshold 0.15]
   compare_bench.py --update --baseline ... --current ...   # re-baseline
-  compare_bench.py --self-test --baseline ... [--baseline ...]  # gate check
+  compare_bench.py --self-test --baseline ... [--metric-group ...]  # gate check
 
 Re-baselining (after an intentional perf change): run the Release
 bench_hotpath locally or grab the BENCH_hotpath.json artifact from a green
@@ -144,22 +137,9 @@ def compare(baseline: dict, current: dict, threshold: float,
     return failures
 
 
-def pair_groups(baselines: list[str], groups: list[str]) -> list[str]:
-    """The metric group gated for each baseline (see module docstring)."""
-    if not groups:
-        return ["batched_ms"] * len(baselines)
-    if len(groups) == 1:
-        return groups * len(baselines)
-    if len(groups) != len(baselines):
-        raise SystemExit(f"{len(baselines)} --baseline but {len(groups)} "
-                         "--metric-group: give one per baseline (or one total)")
-    return groups
-
-
-def self_test(baseline_paths: list[str], groups: list[str], threshold: float) -> int:
-    groups = pair_groups(baseline_paths, groups)
-    for path, group in zip(baseline_paths, groups):
-        baseline = load_report(path)
+def self_test(path: str, groups: list[str], threshold: float) -> int:
+    baseline = load_report(path)
+    for group in groups:
         label = f"{path} [{group}]"
         # Identical data must pass.
         if compare(baseline, baseline, threshold, group):
@@ -188,7 +168,7 @@ def self_test(baseline_paths: list[str], groups: list[str], threshold: float) ->
             return 1
         print(f"self-test: {label} — clean pass, injected regression, missing "
               "case and missing metric group all flagged")
-    print(f"self-test OK over {len(baseline_paths)} baseline(s) at threshold "
+    print(f"self-test OK over {len(groups)} metric group(s) at threshold "
           f"{threshold:.0%}")
     return 0
 
@@ -196,12 +176,11 @@ def self_test(baseline_paths: list[str], groups: list[str], threshold: float) ->
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--baseline", action="append", required=True,
-                    help="committed baseline JSON (repeat to gate several)")
+    ap.add_argument("--baseline", required=True, help="committed baseline JSON")
     ap.add_argument("--metric-group", action="append", default=[],
                     choices=["per_element_ms", "batched_ms", "sumfact_ms"],
-                    help="dotted-key prefix gated for the matching --baseline "
-                         "(default batched_ms)")
+                    help="dotted-key prefix to gate (repeat to gate several; "
+                         "default batched_ms)")
     ap.add_argument("--current", action="append",
                     help="freshly measured JSON (repeat for min-of-N)")
     ap.add_argument("--threshold", type=float, default=0.15,
@@ -211,39 +190,37 @@ def main() -> int:
     ap.add_argument("--self-test", action="store_true",
                     help="verify the gate flags an injected regression")
     args = ap.parse_args()
+    groups = args.metric_group or ["batched_ms"]
 
     if args.self_test:
-        return self_test(args.baseline, args.metric_group, args.threshold)
+        return self_test(args.baseline, groups, args.threshold)
     if not args.current:
         ap.error("--current is required unless --self-test")
     runs = [load_report(path) for path in args.current]
     current = elementwise_min(runs)
 
     if args.update:
-        if len(args.baseline) != 1:
-            ap.error("--update takes exactly one --baseline")
         if len(runs) == 1:
-            shutil.copyfile(args.current[0], args.baseline[0])
+            shutil.copyfile(args.current[0], args.baseline)
         else:
-            with open(args.baseline[0], "w") as f:
+            with open(args.baseline, "w") as f:
                 json.dump(current, f, indent=2)
                 f.write("\n")
         print(f"baseline updated from {len(runs)} run(s)")
         return 0
 
-    groups = pair_groups(args.baseline, args.metric_group)
+    baseline = load_report(args.baseline)
     failed = 0
-    for path, group in zip(args.baseline, groups):
-        baseline = load_report(path)
+    for group in groups:
         failures = compare(baseline, current, args.threshold, group)
         if failures:
             failed += 1
-            print(f"perf regression gate FAILED for {path} [{group}] "
+            print(f"perf regression gate FAILED for {args.baseline} [{group}] "
                   f"({len(failures)} finding(s)):")
             for msg in failures:
                 print(f"  - {msg}")
         else:
-            print(f"perf gate OK for {path} [{group}]: "
+            print(f"perf gate OK for {args.baseline} [{group}]: "
                   f"{len(baseline['cases'])} baseline case(s) within "
                   f"{args.threshold:.0%}")
     if failed:

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
 
     const std::size_t field_bytes = disc->quad_size() * sizeof(double);
     const std::size_t solver_bytes =
-        disc->dofmap().num_global() * (disc->dofmap().bandwidth() + 1) * sizeof(double);
+        ns.velocity_solver_cache().get(opts.time_order).front().factor_bytes();
     const auto shapes = app_model::solver_shapes(field_bytes, solver_bytes);
 
     std::printf("Figure 12: CPU time percentage of each stage within a time step\n\n");

@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
         if (c.rank() == 0) {
             bd = ns.breakdown();
             field_bytes = 2 * disc->quad_size() * sizeof(double);
-            solver_bytes = disc->dofmap().num_global() * (disc->dofmap().bandwidth() + 1) *
-                           sizeof(double);
+            solver_bytes = ns.velocity_solver_cache().get(opts.time_order).front().factor_bytes();
         }
     });
     log = reports[0].log;

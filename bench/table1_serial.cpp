@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
 
     const std::size_t field_bytes = disc->quad_size() * sizeof(double);
     const std::size_t solver_bytes =
-        disc->dofmap().num_global() * (disc->dofmap().bandwidth() + 1) * sizeof(double);
+        ns.velocity_solver_cache().get(opts.time_order).front().factor_bytes();
     const auto shapes = app_model::solver_shapes(field_bytes, solver_bytes);
 
     // Paper's reported values for the shape comparison.

@@ -68,8 +68,8 @@ RunData run_fourier(int nprocs, bool overlap, bool trace = false) {
         bds[static_cast<std::size_t>(c.rank())] = ns.breakdown();
         if (c.rank() == 0) {
             data.field_bytes = 2 * disc->quad_size() * sizeof(double);
-            data.solver_bytes = disc->dofmap().num_global() *
-                                (disc->dofmap().bandwidth() + 1) * sizeof(double);
+            data.solver_bytes =
+                ns.velocity_solver_cache().get(opts.time_order).front().factor_bytes();
         }
     });
     data.bd = bds[0];

@@ -172,8 +172,7 @@ const Evaluator::ProbeData& Evaluator::probe(const std::string& solver,
         for (int s = 0; s < steady_steps; ++s) ns.step();
         data.bd = ns.breakdown();
         data.field_bytes = disc->quad_size() * sizeof(double);
-        data.solver_bytes = disc->dofmap().num_global() *
-                            (disc->dofmap().bandwidth() + 1) * sizeof(double);
+        data.solver_bytes = ns.velocity_solver_cache().get(opts.time_order).front().factor_bytes();
     } else { // "fourier": the Table-2 weak-scaling probe, 2 planes per proc
         mesh::BluffBodyParams p;
         p.n_upstream = 4;
@@ -206,8 +205,8 @@ const Evaluator::ProbeData& Evaluator::probe(const std::string& solver,
             bds[static_cast<std::size_t>(c.rank())] = ns.breakdown();
             if (c.rank() == 0) {
                 data.field_bytes = 2 * disc->quad_size() * sizeof(double);
-                data.solver_bytes = disc->dofmap().num_global() *
-                                    (disc->dofmap().bandwidth() + 1) * sizeof(double);
+                data.solver_bytes =
+                    ns.velocity_solver_cache().get(opts.time_order).front().factor_bytes();
             }
         });
         data.bd = bds[0];

@@ -174,6 +174,12 @@ void ScenarioRequest::validate() const {
                          transpose + "\"");
     if (ranks < 0) throw ParseError("ranks must be >= 0");
     if (steps < 0) throw ParseError("steps must be >= 0");
+    if (fidelity == "measured" && ranks > kMaxMeasuredRanks)
+        throw ParseError("measured fidelity takes ranks <= " +
+                         std::to_string(kMaxMeasuredRanks) + "; got " + std::to_string(ranks));
+    if (fidelity == "measured" && steps > kMaxMeasuredSteps)
+        throw ParseError("measured fidelity takes steps <= " +
+                         std::to_string(kMaxMeasuredSteps) + "; got " + std::to_string(steps));
     if (!(dof_per_rank >= 0.0) || !std::isfinite(dof_per_rank))
         throw ParseError("dof_per_rank must be finite and >= 0");
 }

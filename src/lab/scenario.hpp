@@ -27,6 +27,11 @@ namespace lab {
 struct ScenarioRequest {
     /// Bump when a field changes meaning or serialization incompatibly.
     static constexpr int kSchemaVersion = 1;
+    /// Work budget of a measured-fidelity request, which builds a full solver
+    /// on each of `ranks` simulated ranks and runs it for `steps` steps.
+    /// Model fidelity is analytic and takes any count.
+    static constexpr int kMaxMeasuredRanks = 64;
+    static constexpr int kMaxMeasuredSteps = 100;
 
     std::string bench;     ///< requesting tool/bench id ("" = ad-hoc query)
     std::string machine;   ///< machine::by_name key; for bench sweeps a
@@ -58,7 +63,8 @@ struct ScenarioRequest {
     [[nodiscard]] static ScenarioRequest parse(const std::string& json);
 
     /// Throws lab::ParseError unless every enum-like field holds one of its
-    /// documented values and every count is non-negative.
+    /// documented values, every count is non-negative, and a measured
+    /// request stays within kMaxMeasuredRanks and kMaxMeasuredSteps.
     void validate() const;
 
     /// Sweep-filter semantics shared by every bench: true when the filter

@@ -1,7 +1,10 @@
 #include "nektar/helmholtz.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <cstdlib>
+#include <deque>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -29,48 +32,190 @@ std::vector<char> dirichlet_mask(const Discretization& disc, const HelmholtzBC& 
     return mask;
 }
 
+/// Reverse Cuthill-McKee over the boundary dofs 0..n_dofs-1, adjacency given
+/// by shared elements (the full dof map's algorithm, restricted to the
+/// condensed system).
+std::vector<int> boundary_rcm(const std::vector<std::vector<int>>& elem_bdofs,
+                              std::size_t n_dofs) {
+    std::vector<std::vector<int>> dof_elems(n_dofs);
+    for (std::size_t e = 0; e < elem_bdofs.size(); ++e)
+        for (int d : elem_bdofs[e])
+            dof_elems[static_cast<std::size_t>(d)].push_back(static_cast<int>(e));
+    std::vector<int> order;
+    order.reserve(n_dofs);
+    std::vector<char> seen(n_dofs, 0);
+    for (std::size_t start = 0; start < n_dofs; ++start) {
+        if (seen[start]) continue;
+        std::deque<int> queue{static_cast<int>(start)};
+        seen[start] = 1;
+        while (!queue.empty()) {
+            const int d = queue.front();
+            queue.pop_front();
+            order.push_back(d);
+            std::set<int> nb;
+            for (int e : dof_elems[static_cast<std::size_t>(d)])
+                for (int u : elem_bdofs[static_cast<std::size_t>(e)])
+                    if (!seen[static_cast<std::size_t>(u)]) nb.insert(u);
+            for (int u : nb) {
+                seen[static_cast<std::size_t>(u)] = 1;
+                queue.push_back(u);
+            }
+        }
+    }
+    std::vector<int> perm(n_dofs);
+    for (std::size_t i = 0; i < n_dofs; ++i)
+        perm[static_cast<std::size_t>(order[n_dofs - 1 - i])] = static_cast<int>(i);
+    return perm;
+}
+
 } // namespace
+
+HelmholtzDirect::ClassCondensation HelmholtzDirect::condense(const ElemMatrices& mats,
+                                                             std::size_t nmb, double lambda,
+                                                             la::DenseMatrix& schur) {
+    const std::size_t nm = mats.lap.rows();
+    const std::size_t ni = nm - nmb;
+    const auto a = [&](std::size_t i, std::size_t j) {
+        return mats.lap(i, j) + lambda * mats.mass(i, j);
+    };
+    ClassCondensation c{.nm = nm, .ni = ni, .fwd = {}, .x = {}};
+    schur = la::DenseMatrix(nmb, nmb);
+    for (std::size_t i = 0; i < nmb; ++i)
+        for (std::size_t j = 0; j < nmb; ++j) schur(i, j) = a(i, j);
+    if (ni == 0) return c;
+
+    la::DenseMatrix l(ni, ni);
+    for (std::size_t i = 0; i < ni; ++i)
+        for (std::size_t j = 0; j < ni; ++j) l(i, j) = a(nmb + i, nmb + j);
+    if (!la::cholesky_factor(l))
+        throw std::runtime_error("HelmholtzDirect: interior block not positive definite");
+    // X = A_ii^{-1} A_ib, column by column.
+    c.x.resize(ni * nmb);
+    for (std::size_t j = 0; j < nmb; ++j)
+        for (std::size_t i = 0; i < ni; ++i) c.x[i + j * ni] = a(nmb + i, j);
+    la::cholesky_solve_cols(l, c.x.data(), ni, nmb);
+    // S = A_bb - A_bi X.
+    for (std::size_t i = 0; i < nmb; ++i)
+        for (std::size_t j = 0; j < nmb; ++j) {
+            double s = schur(i, j);
+            for (std::size_t k = 0; k < ni; ++k) s -= a(i, nmb + k) * c.x[k + j * ni];
+            schur(i, j) = s;
+        }
+    // fwd = [-X^T; A_ii^{-1}].
+    c.fwd.assign(nm * ni, 0.0);
+    for (std::size_t j = 0; j < ni; ++j) {
+        for (std::size_t r = 0; r < nmb; ++r) c.fwd[r + j * nm] = -c.x[j + r * ni];
+        c.fwd[nmb + j + j * nm] = 1.0;
+    }
+    la::cholesky_solve_cols(l, c.fwd.data() + nmb, nm, ni);
+    return c;
+}
+
+template <class F>
+void HelmholtzDirect::for_each_run(F&& f) const {
+    std::size_t r = 0;
+    for (const ElemGroup& g : disc_->groups())
+        for (const ElemGroup::MatrixRun& run : g.runs) f(g, run, classes_[run_class_[r++]]);
+}
 
 HelmholtzDirect::HelmholtzDirect(std::shared_ptr<const Discretization> disc, double lambda,
                                  HelmholtzBC bc)
     : disc_(std::move(disc)), lambda_(lambda), bc_(std::move(bc)) {
     const DofMap& dm = disc_->dofmap();
-    is_dirichlet_ = dirichlet_mask(*disc_, bc_, &dirichlet_dofs_);
+    const std::vector<char> is_dirichlet = dirichlet_mask(*disc_, bc_, &dirichlet_dofs_);
 
-    la::SymBandedMatrix h(dm.num_global(), dm.bandwidth());
+    // Condense every matrix class once; schur[c] is class c's S (row-major).
+    std::map<const ElemMatrices*, std::size_t> class_of;
+    std::vector<la::DenseMatrix> schur;
+    std::vector<std::size_t> elem_class(disc_->num_elements());
+    for (const ElemGroup& g : disc_->groups()) {
+        for (const ElemGroup::MatrixRun& run : g.runs) {
+            const auto [it, fresh] = class_of.emplace(run.mats, classes_.size());
+            if (fresh) {
+                la::DenseMatrix s;
+                classes_.push_back(condense(*run.mats, g.exp->num_boundary_modes(), lambda_, s));
+                schur.push_back(std::move(s));
+            }
+            run_class_.push_back(it->second);
+            for (std::size_t j = 0; j < run.count; ++j)
+                elem_class[g.elems[run.first + j]] = it->second;
+        }
+    }
+
+    // Boundary dofs: marked, ranked in the discretization's order, then
+    // renumbered by RCM.  cidx ends as global -> condensed (-1 = interior).
+    const std::size_t n = dm.num_global();
+    std::vector<int> cidx(n, -1);
     for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const ElementOps& ops = disc_->ops(e);
         const auto& map = dm.element_map(e);
-        const std::size_t nm = ops.num_modes();
-        for (std::size_t i = 0; i < nm; ++i) {
+        const std::size_t nmb = disc_->ops(e).expansion().num_boundary_modes();
+        for (std::size_t i = 0; i < nmb; ++i) cidx[static_cast<std::size_t>(map[i].global)] = 0;
+    }
+    std::vector<int> rank_dof;
+    for (std::size_t d = 0; d < n; ++d)
+        if (cidx[d] == 0) {
+            cidx[d] = static_cast<int>(rank_dof.size());
+            rank_dof.push_back(static_cast<int>(d));
+        }
+    const std::size_t nb = rank_dof.size();
+    std::vector<std::vector<int>> elem_bdofs(disc_->num_elements());
+    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
+        const auto& map = dm.element_map(e);
+        const std::size_t nmb = disc_->ops(e).expansion().num_boundary_modes();
+        for (std::size_t i = 0; i < nmb; ++i)
+            elem_bdofs[e].push_back(cidx[static_cast<std::size_t>(map[i].global)]);
+    }
+    const std::vector<int> perm = boundary_rcm(elem_bdofs, nb);
+    bdof_.resize(nb);
+    for (std::size_t k = 0; k < nb; ++k) {
+        const auto c = static_cast<std::size_t>(perm[k]);
+        bdof_[c] = rank_dof[k];
+        cidx[static_cast<std::size_t>(rank_dof[k])] = static_cast<int>(c);
+    }
+
+    std::size_t kd = 0;
+    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
+        const auto& map = dm.element_map(e);
+        const std::size_t nmb = disc_->ops(e).expansion().num_boundary_modes();
+        for (std::size_t i = 0; i < nmb; ++i)
+            for (std::size_t j = 0; j < i; ++j)
+                kd = std::max(kd, static_cast<std::size_t>(std::abs(
+                                      cidx[static_cast<std::size_t>(map[i].global)] -
+                                      cidx[static_cast<std::size_t>(map[j].global)])));
+    }
+
+    // Assemble the signed Schur blocks D_b S D_b.
+    la::SymBandedMatrix h(nb, kd);
+    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
+        const la::DenseMatrix& s = schur[elem_class[e]];
+        const auto& map = dm.element_map(e);
+        for (std::size_t i = 0; i < s.rows(); ++i) {
+            const auto ci = static_cast<std::size_t>(cidx[static_cast<std::size_t>(map[i].global)]);
             for (std::size_t j = 0; j <= i; ++j) {
-                const double v = map[i].sign * map[j].sign *
-                                 (ops.laplacian()(i, j) + lambda_ * ops.mass()(i, j));
-                h.add(static_cast<std::size_t>(map[i].global),
-                      static_cast<std::size_t>(map[j].global),
-                      (map[i].global == map[j].global && i != j) ? 2.0 * v : v);
+                const auto cj =
+                    static_cast<std::size_t>(cidx[static_cast<std::size_t>(map[j].global)]);
+                const double v = map[i].sign * map[j].sign * s(i, j);
+                h.add(ci, cj, (ci == cj && i != j) ? 2.0 * v : v);
             }
         }
     }
 
     // Record Dirichlet columns for RHS lifting, then reduce the system to the
     // identity on constrained dofs.
-    const std::size_t n = dm.num_global();
-    const std::size_t kd = dm.bandwidth();
     for (int d : dirichlet_dofs_) {
-        const auto du = static_cast<std::size_t>(d);
+        const auto du = static_cast<std::size_t>(cidx[static_cast<std::size_t>(d)]);
         const std::size_t lo = du > kd ? du - kd : 0;
-        const std::size_t hi = std::min(n - 1, du + kd);
+        const std::size_t hi = std::min(nb - 1, du + kd);
         for (std::size_t r = lo; r <= hi; ++r) {
-            if (is_dirichlet_[r]) continue;
+            if (is_dirichlet[static_cast<std::size_t>(bdof_[r])]) continue;
             const double v = h.at(r, du);
-            if (v != 0.0) lift_.emplace_back(static_cast<int>(r), d, v);
+            if (v != 0.0) lift_.emplace_back(bdof_[r], d, v);
         }
     }
     for (int d : dirichlet_dofs_) {
-        const auto du = static_cast<std::size_t>(d);
+        const auto du = static_cast<std::size_t>(cidx[static_cast<std::size_t>(d)]);
         const std::size_t lo = du > kd ? du - kd : 0;
-        const std::size_t hi = std::min(n - 1, du + kd);
+        const std::size_t hi = std::min(nb - 1, du + kd);
         for (std::size_t r = lo; r <= hi; ++r) {
             if (r == du) continue;
             const double v = h.at(r, du);
@@ -82,6 +227,12 @@ HelmholtzDirect::HelmholtzDirect(std::shared_ptr<const Discretization> disc, dou
     if (!chol_.factor(std::move(h)))
         throw std::runtime_error("HelmholtzDirect: matrix not positive definite "
                                  "(all-Neumann Poisson needs pin_first_dof)");
+}
+
+std::size_t HelmholtzDirect::factor_bytes() const noexcept {
+    std::size_t doubles = chol_.size() * (chol_.bandwidth() + 1);
+    for (const ClassCondensation& c : classes_) doubles += c.fwd.size() + c.x.size();
+    return doubles * sizeof(double);
 }
 
 std::vector<double> HelmholtzDirect::dirichlet_vector(
@@ -97,15 +248,68 @@ std::vector<double> HelmholtzDirect::dirichlet_vector(
 
 std::vector<double> HelmholtzDirect::solve_global(std::vector<double> rhs,
                                                   std::span<const double> dirichlet) const {
-    // Lift the known boundary values, then impose them.
+    const std::size_t nmodal = disc_->modal_size();
+    // Local loads: an interior dof belongs to one element (sign +1), so its
+    // local value is that element's f_i.
+    parallel::Scratch f(nmodal), w(nmodal);
+    disc_->scatter(rhs, f.span());
+    // w = [-X^T f_i; A_ii^{-1} f_i] per element.
+    for_each_run([&](const ElemGroup& g, const ElemGroup::MatrixRun& run,
+                     const ClassCondensation& c) {
+        const std::size_t nm = c.nm, ni = c.ni, nmb = nm - ni;
+        if (ni == 0) {
+            for (std::size_t j = 0; j < run.count; ++j)
+                std::fill_n(w.data() + disc_->modal_offset(g.elems[run.first + j]), nm, 0.0);
+        } else if (g.contiguous) {
+            const std::size_t off = disc_->modal_offset(g.elems[run.first]);
+            blaslite::dgemm_cm(1.0, c.fwd.data(), nm, f.data() + off + nmb, nm, 0.0,
+                               w.data() + off, nm, nm, run.count, ni);
+        } else {
+            for (std::size_t j = 0; j < run.count; ++j) {
+                const std::size_t off = disc_->modal_offset(g.elems[run.first + j]);
+                blaslite::dgemv_t(1.0, c.fwd.data(), nm, ni, nm, f.data() + off + nmb, 0.0,
+                                  w.data() + off);
+            }
+        }
+    });
+    // Condensed RHS on the boundary dofs.  The interior entries of rhs pick
+    // up A_ii^{-1} f_i too; nothing reads them again.
+    disc_->gather_add(w.span(), rhs);
+
+    // Lift the known boundary values, impose them, solve the boundary system.
     for (const auto& [r, d, v] : lift_)
         rhs[static_cast<std::size_t>(r)] -= v * dirichlet[static_cast<std::size_t>(d)];
     for (int d : dirichlet_dofs_)
         rhs[static_cast<std::size_t>(d)] = dirichlet[static_cast<std::size_t>(d)];
-    chol_.solve(rhs);
+    const std::size_t nb = bdof_.size();
+    parallel::Scratch ub(nb);
+    for (std::size_t k = 0; k < nb; ++k) ub[k] = rhs[static_cast<std::size_t>(bdof_[k])];
+    chol_.solve(ub.span());
+    for (std::size_t k = 0; k < nb; ++k) rhs[static_cast<std::size_t>(bdof_[k])] = ub[k];
 
-    std::vector<double> modal(disc_->modal_size());
+    // Back-substitution: u_i = A_ii^{-1} f_i - X u_b.
+    std::vector<double> modal(nmodal);
     disc_->scatter(rhs, modal);
+    for_each_run([&](const ElemGroup& g, const ElemGroup::MatrixRun& run,
+                     const ClassCondensation& c) {
+        const std::size_t nm = c.nm, ni = c.ni, nmb = nm - ni;
+        if (ni == 0) return;
+        for (std::size_t j = 0; j < run.count; ++j) {
+            const std::size_t off = disc_->modal_offset(g.elems[run.first + j]) + nmb;
+            std::copy_n(w.data() + off, ni, modal.data() + off);
+        }
+        if (g.contiguous) {
+            const std::size_t off = disc_->modal_offset(g.elems[run.first]);
+            blaslite::dgemm_cm(-1.0, c.x.data(), ni, modal.data() + off, nm, 1.0,
+                               modal.data() + off + nmb, nm, ni, run.count, nmb);
+        } else {
+            for (std::size_t j = 0; j < run.count; ++j) {
+                const std::size_t off = disc_->modal_offset(g.elems[run.first + j]);
+                blaslite::dgemv_t(-1.0, c.x.data(), ni, nmb, ni, modal.data() + off, 1.0,
+                                  modal.data() + off + nmb);
+            }
+        }
+    });
     return modal;
 }
 

@@ -108,6 +108,25 @@ TEST(ScenarioParse, OutOfRangeCountsAreRejectedNotWrapped) {
     EXPECT_THROW((void)ScenarioRequest::parse(R"({"seed":9007199254740994})"), ParseError);
 }
 
+TEST(ScenarioParse, MeasuredRequestsHaveAWorkBudget) {
+    // Measured fidelity builds a solver per simulated rank and runs `steps`
+    // of it: both are capped.  Model fidelity is analytic and is not.
+    const auto measured = [](const std::string& fields) {
+        return ScenarioRequest::parse(R"({"fidelity":"measured","solver":"fourier",)" + fields +
+                                      "}");
+    };
+    const ScenarioRequest at_budget = measured(R"("ranks":64,"steps":100)");
+    EXPECT_EQ(at_budget.ranks, ScenarioRequest::kMaxMeasuredRanks);
+    EXPECT_EQ(at_budget.steps, ScenarioRequest::kMaxMeasuredSteps);
+    EXPECT_THROW((void)measured(R"("ranks":65)"), ParseError);
+    EXPECT_THROW((void)measured(R"("steps":101)"), ParseError);
+    EXPECT_THROW((void)measured(R"("ranks":2147483647)"), ParseError);
+    EXPECT_THROW((void)measured(R"("steps":2147483647)"), ParseError);
+    const ScenarioRequest model = ScenarioRequest::parse(R"({"ranks":4096,"steps":100000})");
+    EXPECT_EQ(model.ranks, 4096);
+    EXPECT_EQ(model.steps, 100000);
+}
+
 std::string nested_arrays(std::size_t depth) {
     return std::string(depth, '[') + std::string(depth, ']');
 }

@@ -138,4 +138,31 @@ TEST(Wire, DeeplyNestedRequestIsAnErrorAnswer) {
     server.join();
 }
 
+TEST(Wire, OverBudgetMeasuredRequestIsAnErrorAnswer) {
+    SocketPair sp;
+    lab::Service service;
+    std::thread server([&] { lab::wire::handle_connection(sp.server(), service); });
+
+    // A measured request past the rank budget would build a Fourier solver on
+    // each of 4096 simulated ranks; it is refused before any work starts,
+    // and the connection stays up for the next request.
+    const std::string refused = lab::wire::request(
+        sp.client(),
+        R"({"machine":"RoadRunner","net":"RoadRunner myr.","fidelity":"measured",)"
+        R"("solver":"fourier","ranks":4096})");
+    EXPECT_NE(refused.find("\"error\""), std::string::npos);
+    EXPECT_NE(refused.find("ranks <= 64"), std::string::npos);
+
+    lab::ScenarioRequest req;
+    req.machine = "RoadRunner";
+    req.net = "RoadRunner myr.";
+    req.ranks = 4096; // model fidelity: analytic, no budget
+    const std::string ok = lab::wire::request(sp.client(), req.canonical_json());
+    EXPECT_NE(ok.find("\"schema_version\":2"), std::string::npos);
+
+    ::close(sp.client());
+    sp.a = -1;
+    server.join();
+}
+
 } // namespace

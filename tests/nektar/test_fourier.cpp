@@ -7,6 +7,7 @@
 
 #include "mesh/generators.hpp"
 #include "nektar/fourier_transpose.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace {
 
@@ -260,6 +261,58 @@ TEST(FourierNS, StageBreakdownAndCommLog) {
     // (set_initial no longer evaluates the nonlinear term; the first step
     // runs at order 1 and never reads a seeded history level).
     EXPECT_EQ(alltoalls, 18u);
+}
+
+/// FourierNS runs its per-plane direct solves on pool workers, so concurrent
+/// HelmholtzDirect::solve_global calls must not share mutable state: plane
+/// solves issued from a 2-thread pool, and whole solver steps, give the same
+/// bits as on a 1-thread pool.
+TEST(FourierNS, ConcurrentPlaneSolvesMatchOneThreadBitForBit) {
+    const auto disc = shear_disc(6);
+    const FourierNsOptions o = shear_opts(0.05, 1e-3);
+    const std::size_t n = disc->dofmap().num_global();
+    const auto run = [&](unsigned threads) {
+        parallel::set_num_threads(threads);
+        FourierNS ns(disc, o);
+        ns.set_initial(
+            [](double, double y, double z) {
+                return std::sin(std::numbers::pi * y) * (1.0 + 0.5 * std::sin(z));
+            },
+            [](double x, double, double z) { return 0.1 * std::sin(x) * std::cos(2.0 * z); },
+            [](double, double, double) { return 0.0; });
+        for (int s = 0; s < 3; ++s) ns.step();
+        std::vector<double> out;
+        for (int c = 0; c < 3; ++c)
+            for (std::size_t p = 0; p < 2 * ns.local_modes(); ++p) {
+                const auto q = ns.plane_quad(c, p);
+                out.insert(out.end(), q.begin(), q.end());
+            }
+        const auto& solvers = ns.velocity_solver_cache().get(o.time_order);
+        const std::size_t tasks = 6 * solvers.size();
+        std::vector<std::vector<double>> sols(tasks);
+        parallel::pool().parallel_for(tasks, [&](std::size_t t0, std::size_t t1) {
+            for (std::size_t t = t0; t < t1; ++t) {
+                std::vector<double> rhs(n);
+                for (std::size_t i = 0; i < n; ++i)
+                    rhs[i] = std::sin(0.37 * static_cast<double>(i) + static_cast<double>(t));
+                const auto& solver = solvers[t % solvers.size()];
+                const auto bvals = t % 2 == 0 ? solver.dirichlet_vector([](double x, double y) {
+                    return x - y;
+                })
+                                              : std::vector<double>(n, 0.0);
+                sols[t] = solver.solve_global(std::move(rhs), bvals);
+            }
+        });
+        for (const auto& sol : sols) out.insert(out.end(), sol.begin(), sol.end());
+        return out;
+    };
+    const unsigned before = parallel::num_threads();
+    const std::vector<double> one = run(1);
+    const std::vector<double> two = run(2);
+    parallel::set_num_threads(before);
+    ASSERT_EQ(one.size(), two.size());
+    for (std::size_t i = 0; i < one.size(); ++i)
+        ASSERT_EQ(one[i], two[i]) << "1 vs 2 threads diverge at " << i;
 }
 
 TEST(FourierNS, RejectsIndivisibleModeCount) {
