@@ -13,10 +13,11 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "compute/backend.hpp"
+#include "compute/backend_impl.hpp"
 #include "mesh/generators.hpp"
 #include "nektar/discretization.hpp"
 #include "parallel/thread_pool.hpp"
@@ -98,26 +99,23 @@ CaseResult run_case(std::size_t order, std::size_t nside, std::size_t planes,
         },
         min_seconds);
 
-    // Both batched engines, pinned explicitly so the committed baselines stay
-    // comparable whatever $REPRO_BACKEND the job exports.
-    struct EngineTimes {
-        compute::BackendKind kind;
-        double* ms;
-    };
-    const EngineTimes engines[2] = {{compute::BackendKind::Dense, r.batched_ms},
-                                    {compute::BackendKind::SumFactor, r.sumfact_ms}};
-    for (const EngineTimes& eng : engines) {
-        const compute::BackendKind k = eng.kind;
-        eng.ms[0] = 1e3 * benchutil::time_per_call(
-            [&] { disc->to_quad_planes(modal, quad, planes, k); }, min_seconds);
-        eng.ms[1] = 1e3 * benchutil::time_per_call(
+    // Both batched engines, built directly: the discretization runs only the
+    // one its order picks.
+    const compute::DenseBackend dense(*disc);
+    const compute::SumFactorBackend sumfact(*disc);
+    const std::pair<const compute::Backend*, double*> engines[2] = {{&dense, r.batched_ms},
+                                                                    {&sumfact, r.sumfact_ms}};
+    for (const auto& [eng, ms] : engines) {
+        ms[0] = 1e3 * benchutil::time_per_call(
+            [&] { eng->to_quad_planes(modal, quad, planes); }, min_seconds);
+        ms[1] = 1e3 * benchutil::time_per_call(
             [&] {
                 std::fill(rhs.begin(), rhs.end(), 0.0);
-                disc->weak_inner_planes(quad, rhs, planes, k);
+                eng->weak_inner_planes(quad, rhs, planes);
             },
             min_seconds);
-        eng.ms[2] = 1e3 * benchutil::time_per_call(
-            [&] { disc->grad_from_modal_planes(modal, dx, dy, planes, k); }, min_seconds);
+        ms[2] = 1e3 * benchutil::time_per_call(
+            [&] { eng->grad_from_modal_planes(modal, dx, dy, planes); }, min_seconds);
     }
     return r;
 }

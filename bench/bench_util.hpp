@@ -70,7 +70,6 @@ private:
 ///   --smoke               shrink the sweep for per-commit CI
 ///   --solver <name>       serial | fourier | ale (lab queries)
 ///   --fidelity <name>     model | measured (lab queries)
-///   --backend <name>      dense | sumfact compute backend
 ///   --fault <name>        named fault profile (lab/fault_profiles.hpp)
 ///   --transpose <name>    slab | pencil
 ///   --dof-per-rank <N>    problem size per processor (lab queries)
@@ -137,7 +136,6 @@ struct Cli {
             else if (std::strcmp(a, "--smoke") == 0) cli.request.smoke = true;
             else if (std::strcmp(a, "--solver") == 0) cli.request.solver = need(i);
             else if (std::strcmp(a, "--fidelity") == 0) cli.request.fidelity = need(i);
-            else if (std::strcmp(a, "--backend") == 0) cli.request.backend = need(i);
             else if (std::strcmp(a, "--fault") == 0) cli.request.fault = need(i);
             else if (std::strcmp(a, "--transpose") == 0) cli.request.transpose = need(i);
             else if (std::strcmp(a, "--dof-per-rank") == 0)
@@ -192,6 +190,7 @@ struct Cli {
 
     /// Writes the RunReport (to --out or `default_path`), plus the Chrome
     /// trace JSON when --trace was given, and prints where they went.
+    /// Throws std::runtime_error when either file cannot be written whole.
     void finish(perf::RunReport rep, const std::string& default_path = "") const {
         stamp(rep);
         const std::string path =
@@ -200,15 +199,9 @@ struct Cli {
         std::printf("\nwrote %s\n", path.c_str());
         if (trace) {
             const std::string tpath = !trace_out.empty() ? trace_out : bench + "_trace.json";
-            const std::string json = obs::tracer().chrome_json();
-            if (std::FILE* f = std::fopen(tpath.c_str(), "w")) {
-                std::fwrite(json.data(), 1, json.size(), f);
-                std::fclose(f);
-                std::printf("wrote %s (load in chrome://tracing or ui.perfetto.dev)\n",
-                            tpath.c_str());
-            } else {
-                std::fprintf(stderr, "%s: cannot write %s\n", bench.c_str(), tpath.c_str());
-            }
+            perf::write_file(tpath, obs::tracer().chrome_json());
+            std::printf("wrote %s (load in chrome://tracing or ui.perfetto.dev)\n",
+                        tpath.c_str());
         }
     }
 };

@@ -148,7 +148,7 @@ GOOD = {
     "crossover_order": 8,
     "request": {"bench": "self_test", "fidelity": "model", "machine": "NCSA",
                 "net": "NCSA", "ranks": 8, "schema": 1, "seed": 0, "smoke": False,
-                "backend": "", "fault": "", "solver": "", "transpose": "",
+                "fault": "", "solver": "", "transpose": "",
                 "dof_per_rank": 461000.0, "steps": 0},
     "cache": {"hit": False, "store_key": "00f1e2d3c4b5a697"},
     "meta": {"threads": "1", "smoke": "1", "trace": "0"},

@@ -268,8 +268,11 @@ void Checkpoint::write_file(const std::string& path) const {
     if (f == nullptr) throw std::runtime_error("ckpt: cannot write " + path);
     const std::vector<std::uint8_t> bytes = serialize();
     const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-    std::fclose(f);
-    if (written != bytes.size()) throw std::runtime_error("ckpt: short write to " + path);
+    // A checkpoint smaller than the stdio buffer reaches the file only in
+    // fclose, so that is where its ENOSPC shows.
+    const bool closed = std::fclose(f) == 0;
+    if (written != bytes.size() || !closed)
+        throw std::runtime_error("ckpt: short write to " + path);
 }
 
 Checkpoint Checkpoint::read_file(const std::string& path) {

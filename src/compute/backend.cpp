@@ -1,9 +1,7 @@
 #include "compute/backend.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 
 #include "blaslite/blas.hpp"
 #include "compute/backend_impl.hpp"
@@ -14,30 +12,7 @@
 namespace compute {
 
 const char* to_string(BackendKind k) noexcept {
-    switch (k) {
-        case BackendKind::Dense: return "dense";
-        case BackendKind::SumFactor: return "sumfact";
-        default: return "auto";
-    }
-}
-
-BackendKind parse_backend(std::string_view name) {
-    if (name == "auto") return BackendKind::Auto;
-    if (name == "dense") return BackendKind::Dense;
-    if (name == "sumfact") return BackendKind::SumFactor;
-    throw std::invalid_argument("unknown compute backend \"" + std::string(name) +
-                                "\" (expected auto, dense or sumfact)");
-}
-
-BackendKind default_backend() {
-    // Resolved once: the toggle exists so CI can run the whole suite under
-    // another backend, not for mid-run switching.
-    static const BackendKind kind = [] {
-        const char* env = std::getenv("REPRO_BACKEND");
-        if (env == nullptr || *env == '\0') return BackendKind::Dense;
-        return resolve(parse_backend(env), BackendKind::Dense);
-    }();
-    return kind;
+    return k == BackendKind::SumFactor ? "sumfact" : "dense";
 }
 
 Backend::~Backend() = default;
@@ -154,10 +129,8 @@ void Backend::convect_planes(std::span<const double> au, std::span<const double>
 }
 
 std::unique_ptr<Backend> make_backend(BackendKind kind, const nektar::Discretization& disc) {
-    switch (resolve(kind, default_backend())) {
-        case BackendKind::SumFactor: return std::make_unique<SumFactorBackend>(disc);
-        default: return std::make_unique<DenseBackend>(disc);
-    }
+    if (kind == BackendKind::SumFactor) return std::make_unique<SumFactorBackend>(disc);
+    return std::make_unique<DenseBackend>(disc);
 }
 
 } // namespace compute

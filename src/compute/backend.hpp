@@ -1,12 +1,12 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 
 /// \file backend.hpp
-/// The pluggable compute backend behind nektar::Discretization.
+/// The compute engine behind nektar::Discretization.
 ///
 /// A Backend evaluates the whole-field elemental transforms (modal->quad,
 /// weak inner product, L2 projection, modal gradient, and the fused
@@ -22,12 +22,11 @@
 ///    trick.  Groups without a tensor factorisation (triangles) fall back to
 ///    the dense per-group path, so mixed meshes work on either backend.
 ///
-/// Selection is threaded through SolverOptions::backend; BackendKind::Auto
-/// defers to the discretization's default, which reads $REPRO_BACKEND
-/// ("dense" / "sumfact") so CI can sweep the whole test suite across
-/// backends without code changes.  The resolved backend name is folded into
-/// every solver's options fingerprint: checkpoints refuse cross-backend
-/// restores.
+/// The expansion order picks the engine, like the paper's dgemv-vs-dgemm
+/// choice is picked by operand size: a Discretization runs SumFactorBackend
+/// from kSumFactorMinOrder up and DenseBackend below it.  There is no user
+/// override.  The engine name is folded into every solver's options
+/// fingerprint, so a checkpoint records which engine wrote it.
 namespace nektar {
 class Discretization;
 }
@@ -35,26 +34,22 @@ class Discretization;
 namespace compute {
 
 enum class BackendKind : std::uint8_t {
-    Auto = 0,      ///< defer to the discretization default ($REPRO_BACKEND)
-    Dense = 1,     ///< batched dense elemental operators (reference)
-    SumFactor = 2, ///< staged 1-D tensor contractions on quad groups
+    Dense,     ///< batched dense elemental operators (reference)
+    SumFactor, ///< staged 1-D tensor contractions on quad groups
 };
 
-/// Stable lowercase name ("auto" / "dense" / "sumfact") for fingerprints,
-/// reports and the environment toggle.
+/// Lowest expansion order a Discretization runs on SumFactorBackend: the
+/// crossover bench_hotpath reports in bench/BENCH_hotpath_baseline.json.
+/// Below it the dense batch is clearly faster (4-5x at order 4); at order 8
+/// the two engines are within about 20% of each other, and sum
+/// factorisation pulls ahead as the order grows (1.3-2.4x at order 12).
+inline constexpr std::size_t kSumFactorMinOrder = 8;
+
+/// Stable lowercase name ("dense" / "sumfact") for fingerprints and reports.
 [[nodiscard]] const char* to_string(BackendKind k) noexcept;
 
-/// Inverse of to_string; throws std::invalid_argument on unknown names.
-[[nodiscard]] BackendKind parse_backend(std::string_view name);
-
-/// The process-wide default for BackendKind::Auto: $REPRO_BACKEND when set
-/// (and valid — unknown values throw at first use), Dense otherwise.
-[[nodiscard]] BackendKind default_backend();
-
-/// Resolves Auto to `fallback`; concrete kinds pass through.
-[[nodiscard]] constexpr BackendKind resolve(BackendKind k, BackendKind fallback) noexcept {
-    return k == BackendKind::Auto ? fallback : k;
-}
+/// The engine every order below kSumFactorMinOrder runs on: Dense.
+[[nodiscard]] constexpr BackendKind default_backend() noexcept { return BackendKind::Dense; }
 
 /// One compute engine bound to a Discretization.  All field arguments use
 /// the discretization's flat layouts; the `_planes` variants treat `nplanes`
@@ -105,8 +100,8 @@ protected:
     const nektar::Discretization* disc_;
 };
 
-/// Builds a backend of concrete kind `kind` (Auto resolves to
-/// default_backend()) bound to `disc`.
+/// Builds a backend of kind `kind` bound to `disc`; Discretization builds its
+/// one engine through here.
 [[nodiscard]] std::unique_ptr<Backend> make_backend(BackendKind kind,
                                                     const nektar::Discretization& disc);
 

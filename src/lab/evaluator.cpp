@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "compute/backend.hpp"
 #include "lab/fault_profiles.hpp"
 #include "lab/json.hpp"
 #include "lab/pricing.hpp"
@@ -38,11 +37,6 @@ const netsim::NetworkModel& resolve_net(const std::string& name) {
     }
 }
 
-compute::BackendKind resolve_backend(const std::string& name) {
-    if (name.empty()) return compute::BackendKind::Auto;
-    return compute::parse_backend(name); // "dense"/"sumfact"; pre-validated
-}
-
 /// Near-square factorisation of P for the pencil transpose model.
 void pencil_grid(int nprocs, int& rows, int& cols) {
     rows = static_cast<int>(std::sqrt(static_cast<double>(nprocs)));
@@ -55,7 +49,6 @@ void pencil_grid(int nprocs, int& rows, int& cols) {
 perf::RunReport base_report(const ScenarioRequest& req) {
     perf::RunReport rep;
     rep.bench = req.bench.empty() ? "lab_scenario" : req.bench;
-    rep.backend = req.backend;
     rep.request_json = req.canonical_json();
     rep.store_key = req.store_key();
     rep.cache_hit = false;
@@ -138,11 +131,10 @@ perf::RunReport Evaluator::evaluate_model(const ScenarioRequest& req) const {
     return rep;
 }
 
-const Evaluator::ProbeData& Evaluator::probe(const std::string& solver,
-                                             const std::string& backend, int nprocs,
+const Evaluator::ProbeData& Evaluator::probe(const std::string& solver, int nprocs,
                                              int steady_steps) {
-    const std::string key = solver + "/" + (backend.empty() ? "auto" : backend) + "/" +
-                            std::to_string(nprocs) + "/" + std::to_string(steady_steps);
+    const std::string key =
+        solver + "/" + std::to_string(nprocs) + "/" + std::to_string(steady_steps);
     std::lock_guard<std::mutex> lock(probe_mu_);
     const auto hit = probes_.find(key);
     if (hit != probes_.end()) return hit->second;
@@ -159,7 +151,6 @@ const Evaluator::ProbeData& Evaluator::probe(const std::string& solver,
         nektar::SerialNsOptions opts;
         opts.dt = 2e-3;
         opts.viscosity = 0.01;
-        opts.backend = resolve_backend(backend);
         opts.u_bc = [](double x, double y, double) {
             const bool body = std::abs(x) <= 0.5 + 1e-6 && std::abs(y) <= 0.5 + 1e-6;
             return body ? 0.0 : 1.0;
@@ -189,7 +180,6 @@ const Evaluator::ProbeData& Evaluator::probe(const std::string& solver,
             opts.dt = 2e-3;
             opts.viscosity = 0.01;
             opts.num_modes = static_cast<std::size_t>(c.size());
-            opts.backend = resolve_backend(backend);
             opts.u_bc = [](double x, double y, double) {
                 const bool body = std::abs(x) <= 0.5 + 1e-6 && std::abs(y) <= 0.5 + 1e-6;
                 return body ? 0.0 : 1.0;
@@ -229,7 +219,7 @@ perf::RunReport Evaluator::evaluate_measured(const ScenarioRequest& req) {
     const int nprocs = parallel ? (req.ranks > 0 ? req.ranks : 4) : 1;
     const int steady = req.steps > 0 ? req.steps : (parallel ? 2 : 3);
 
-    const ProbeData& data = probe(req.solver, req.backend, nprocs, steady);
+    const ProbeData& data = probe(req.solver, nprocs, steady);
     const auto shapes = app_model::solver_shapes(data.field_bytes, data.solver_bytes);
     const auto comp = app_model::compute_stage_seconds(data.bd, m, shapes);
     double cpu = 0.0;

@@ -24,7 +24,7 @@
 ///                  solver on this host (reduced mesh, same algorithm and
 ///                  comm pattern), re-priced onto the requested machine and
 ///                  network via lab/pricing.hpp.  Probe runs are memoised by
-///                  (solver, backend, ranks, steps), so one run serves every
+///                  (solver, ranks, steps), so one run serves every
 ///                  platform query against it.
 ///
 /// Every report the evaluator builds is a pure function of the request: the
@@ -61,8 +61,7 @@ private:
     /// Memoised probe run.  Probe execution is serialised: the solvers are
     /// internally parallel over parallel::pool() and share the congruent-
     /// element MatrixCache, so one at a time is both safe and fast.
-    [[nodiscard]] const ProbeData& probe(const std::string& solver,
-                                         const std::string& backend, int nprocs,
+    [[nodiscard]] const ProbeData& probe(const std::string& solver, int nprocs,
                                          int steady_steps);
 
     mutable std::mutex probe_mu_;

@@ -85,7 +85,6 @@ bool one_of(const std::string& v, std::initializer_list<const char*> allowed) {
 std::string ScenarioRequest::canonical_json() const {
     // Keys in sorted order, every field always present: the canonical bytes.
     std::string out = "{";
-    kv_str(out, "backend", backend);
     kv_str(out, "bench", bench);
     kv_f64(out, "dof_per_rank", dof_per_rank);
     kv_str(out, "fault", fault);
@@ -142,8 +141,6 @@ ScenarioRequest ScenarioRequest::parse(const std::string& json) {
             req.solver = value.as_string();
         } else if (key == "fidelity") {
             req.fidelity = value.as_string();
-        } else if (key == "backend") {
-            req.backend = value.as_string();
         } else if (key == "fault") {
             req.fault = value.as_string();
         } else if (key == "transpose") {
@@ -166,9 +163,6 @@ void ScenarioRequest::validate() const {
                          solver + "\"");
     if (!one_of(fidelity, {"model", "measured"}))
         throw ParseError("fidelity must be \"model\" or \"measured\"; got \"" + fidelity + "\"");
-    if (!one_of(backend, {"", "dense", "sumfact"}))
-        throw ParseError("backend must be one of \"\", \"dense\", \"sumfact\"; got \"" +
-                         backend + "\"");
     if (!one_of(transpose, {"", "slab", "pencil"}))
         throw ParseError("transpose must be one of \"\", \"slab\", \"pencil\"; got \"" +
                          transpose + "\"");

@@ -6,9 +6,9 @@
 
 /// \file scenario.hpp
 /// The canonical `lab::ScenarioRequest`: ONE versioned value type that
-/// describes a run — machine x network x solver x P x fault profile x
-/// backend — and is the single way clients, benches and the cluster-lab
-/// service talk about one (DESIGN.md §5.9).
+/// describes a run — machine x network x solver x P x fault profile — and
+/// is the single way clients, benches and the cluster-lab service talk about
+/// one (DESIGN.md §5.9).
 ///
 /// Canonicalisation contract:
 ///   * `canonical_json()` emits every field, in sorted key order, with a
@@ -42,7 +42,6 @@ struct ScenarioRequest {
     bool smoke = false;       ///< CI-sized sweep
     std::string solver;    ///< "" | "serial" | "fourier" | "ale"
     std::string fidelity = "model"; ///< "model" (analytic) | "measured" (probe run)
-    std::string backend;   ///< "" | "dense" | "sumfact" compute backend
     std::string fault;     ///< named fault profile (fault_profiles.hpp; "" = clean)
     std::string transpose; ///< "" | "slab" | "pencil" (fourier decomposition)
     double dof_per_rank = 0.0; ///< problem size per processor (0 = default)

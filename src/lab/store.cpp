@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace lab {
 
@@ -50,7 +51,15 @@ void RunReportStore::put(const std::string& key, const std::string& canonical_by
         {
             std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
             if (!out) throw std::runtime_error("RunReportStore: cannot write " + tmp);
-            out << canonical_bytes;
+            out.write(canonical_bytes.data(),
+                      static_cast<std::streamsize>(canonical_bytes.size()));
+            out.close();
+            // A short write must not be renamed into a permanent cache hit.
+            if (!out) {
+                std::error_code ec;
+                fs::remove(tmp, ec);
+                throw std::runtime_error("RunReportStore: short write to " + tmp);
+            }
         }
         fs::rename(tmp, path_for(key));
     }

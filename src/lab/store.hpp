@@ -30,7 +30,9 @@ public:
 
     /// Inserts `canonical_bytes` under `key` (atomic tmp+rename on disk).
     /// Re-putting an existing key is a no-op: first write wins, which keeps
-    /// concurrent singleflight losers from rewriting identical bytes.
+    /// concurrent singleflight losers from rewriting identical bytes.  Throws
+    /// std::runtime_error, leaving no entry behind, when the bytes cannot be
+    /// written whole.
     void put(const std::string& key, const std::string& canonical_bytes);
 
     [[nodiscard]] bool contains(const std::string& key);

@@ -10,7 +10,7 @@
 namespace nektar {
 
 Discretization::Discretization(std::shared_ptr<const mesh::Mesh> m, std::size_t order,
-                               bool renumber, compute::BackendKind backend)
+                               bool renumber)
     : mesh_(std::move(m)), order_(order), dofmap_(*mesh_, order, renumber) {
     const std::size_t ne = mesh_->num_elements();
     ops_.reserve(ne);
@@ -63,74 +63,63 @@ Discretization::Discretization(std::shared_ptr<const mesh::Mesh> m, std::size_t 
     }
     single_group_ = groups_.size() == 1 && groups_.front().contiguous;
 
-    // Both engines are built eagerly: the sum-factor plans are a handful of
-    // small 1-D matrices per group, cheap enough for the ALE per-step
-    // rebuilds, and an already-built pair makes per-call kind dispatch free.
-    backend_ = compute::resolve(backend, compute::default_backend());
-    dense_ = compute::make_backend(compute::BackendKind::Dense, *this);
-    sumfact_ = compute::make_backend(compute::BackendKind::SumFactor, *this);
+    engine_ = compute::make_backend(order_ >= compute::kSumFactorMinOrder
+                                        ? compute::BackendKind::SumFactor
+                                        : compute::BackendKind::Dense,
+                                    *this);
 }
 
-const compute::Backend& Discretization::engine(compute::BackendKind kind) const noexcept {
-    const compute::BackendKind k = compute::resolve(kind, backend_);
-    return k == compute::BackendKind::SumFactor ? *sumfact_ : *dense_;
-}
-
-void Discretization::to_quad(std::span<const double> modal, std::span<double> quad,
-                             compute::BackendKind kind) const {
-    to_quad_planes(modal, quad, 1, kind);
+void Discretization::to_quad(std::span<const double> modal, std::span<double> quad) const {
+    to_quad_planes(modal, quad, 1);
 }
 
 void Discretization::to_quad_planes(std::span<const double> modal, std::span<double> quad,
-                                    std::size_t nplanes, compute::BackendKind kind) const {
+                                    std::size_t nplanes) const {
     assert(modal.size() == modal_size_ * nplanes && quad.size() == quad_size_ * nplanes);
-    engine(kind).to_quad_planes(modal, quad, nplanes);
+    engine_->to_quad_planes(modal, quad, nplanes);
 }
 
-void Discretization::weak_inner(std::span<const double> quad, std::span<double> rhs,
-                                compute::BackendKind kind) const {
-    weak_inner_planes(quad, rhs, 1, kind);
+void Discretization::weak_inner(std::span<const double> quad, std::span<double> rhs) const {
+    weak_inner_planes(quad, rhs, 1);
 }
 
 void Discretization::weak_inner_planes(std::span<const double> quad, std::span<double> rhs,
-                                       std::size_t nplanes, compute::BackendKind kind) const {
+                                       std::size_t nplanes) const {
     assert(quad.size() == quad_size_ * nplanes && rhs.size() == modal_size_ * nplanes);
-    engine(kind).weak_inner_planes(quad, rhs, nplanes);
+    engine_->weak_inner_planes(quad, rhs, nplanes);
 }
 
-void Discretization::project(std::span<const double> quad, std::span<double> modal,
-                             compute::BackendKind kind) const {
-    project_planes(quad, modal, 1, kind);
+void Discretization::project(std::span<const double> quad, std::span<double> modal) const {
+    project_planes(quad, modal, 1);
 }
 
 void Discretization::project_planes(std::span<const double> quad, std::span<double> modal,
-                                    std::size_t nplanes, compute::BackendKind kind) const {
+                                    std::size_t nplanes) const {
     assert(quad.size() == quad_size_ * nplanes && modal.size() == modal_size_ * nplanes);
-    engine(kind).project_planes(quad, modal, nplanes);
+    engine_->project_planes(quad, modal, nplanes);
 }
 
 void Discretization::grad_from_modal(std::span<const double> modal, std::span<double> dudx,
-                                     std::span<double> dudy, compute::BackendKind kind) const {
-    grad_from_modal_planes(modal, dudx, dudy, 1, kind);
+                                     std::span<double> dudy) const {
+    grad_from_modal_planes(modal, dudx, dudy, 1);
 }
 
 void Discretization::grad_from_modal_planes(std::span<const double> modal,
                                             std::span<double> dudx, std::span<double> dudy,
-                                            std::size_t nplanes,
-                                            compute::BackendKind kind) const {
+                                            std::size_t nplanes) const {
     assert(modal.size() == modal_size_ * nplanes);
     assert(dudx.size() == quad_size_ * nplanes && dudy.size() == quad_size_ * nplanes);
-    engine(kind).grad_from_modal_planes(modal, dudx, dudy, nplanes);
+    engine_->grad_from_modal_planes(modal, dudx, dudy, nplanes);
 }
 
 void Discretization::convect_planes(std::span<const double> au, std::span<const double> av,
                                     std::span<const double> u, std::span<const double> v,
                                     std::span<double> nu, std::span<double> nv,
-                                    std::size_t nplanes, compute::BackendKind kind) const {
+                                    std::size_t nplanes) const {
     assert(au.size() == quad_size_ * nplanes && av.size() == quad_size_ * nplanes);
     assert(u.size() == quad_size_ * nplanes && v.size() == quad_size_ * nplanes);
     assert(nu.size() == quad_size_ * nplanes && nv.size() == quad_size_ * nplanes);
-    engine(kind).convect_planes(au, av, u, v, nu, nv, nplanes);
+    engine_->convect_planes(au, av, u, v, nu, nv, nplanes);
 }
 
 void Discretization::eval_at_quad(const std::function<double(double, double)>& f,

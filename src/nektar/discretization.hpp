@@ -26,14 +26,11 @@
 /// thread-local scratch panels.  The `_planes` variants fuse all local
 /// Fourier planes of a 3-D field into the batch dimension.
 ///
-/// The transforms themselves are evaluated by a pluggable compute::Backend
-/// (compute/backend.hpp): the batched dense engine is the reference
-/// DenseBackend, and SumFactorBackend applies the same operators as staged
-/// 1-D tensor contractions (O(P^3) instead of O(P^4) per quad element).
-/// Every transform takes an optional BackendKind; Auto uses the
-/// discretization default (constructor argument, itself defaulting to
-/// $REPRO_BACKEND).  Both engines are built once at construction, so a
-/// caller-chosen kind is a per-call dispatch, not a rebuild.
+/// The transforms themselves are evaluated by one compute::Backend
+/// (compute/backend.hpp), built at construction and picked by the order:
+/// SumFactorBackend (staged 1-D tensor contractions, O(P^3) per quad
+/// element) from compute::kSumFactorMinOrder up, the batched dense
+/// DenseBackend (O(P^4)) below it.
 namespace nektar {
 
 /// One group of elements sharing an expansion (and hence basis matrices).
@@ -60,9 +57,8 @@ struct ElemGroup {
 class Discretization {
 public:
     Discretization(std::shared_ptr<const mesh::Mesh> m, std::size_t order,
-                   bool renumber = true,
-                   compute::BackendKind backend = compute::BackendKind::Auto);
-    // The compute engines hold a back-pointer to this object.
+                   bool renumber = true);
+    // The compute engine holds a back-pointer to this object.
     Discretization(const Discretization&) = delete;
     Discretization& operator=(const Discretization&) = delete;
 
@@ -106,50 +102,38 @@ public:
         return quad_off_;
     }
 
-    /// The default backend kind transforms run under when passed Auto.
-    [[nodiscard]] compute::BackendKind backend() const noexcept { return backend_; }
-    /// The engine for `kind` (Auto = the discretization default).
-    [[nodiscard]] const compute::Backend& engine(
-        compute::BackendKind kind = compute::BackendKind::Auto) const noexcept;
+    /// The compute engine every transform runs on (picked by the order).
+    [[nodiscard]] const compute::Backend& engine() const noexcept { return *engine_; }
 
     /// Whole-field transforms (batched per element group, evaluated by the
-    /// selected compute backend).
-    void to_quad(std::span<const double> modal, std::span<double> quad,
-                 compute::BackendKind kind = compute::BackendKind::Auto) const;
-    void project(std::span<const double> quad, std::span<double> modal,
-                 compute::BackendKind kind = compute::BackendKind::Auto) const;
+    /// compute engine).
+    void to_quad(std::span<const double> modal, std::span<double> quad) const;
+    void project(std::span<const double> quad, std::span<double> modal) const;
     /// rhs += weak inner product (f, phi_i) for every element, batched.
-    void weak_inner(std::span<const double> quad, std::span<double> rhs,
-                    compute::BackendKind kind = compute::BackendKind::Auto) const;
+    void weak_inner(std::span<const double> quad, std::span<double> rhs) const;
     /// Physical-space gradient of a modal field at the quadrature points.
     void grad_from_modal(std::span<const double> modal, std::span<double> dudx,
-                         std::span<double> dudy,
-                         compute::BackendKind kind = compute::BackendKind::Auto) const;
+                         std::span<double> dudy) const;
 
     /// Multi-plane variants: `nplanes` whole fields stored back to back
     /// (plane p at offset p*modal_size() / p*quad_size()).  All planes join
     /// the batch dimension — on a single-group mesh each transform is one
     /// dgemm over every element of every plane.
     void to_quad_planes(std::span<const double> modal, std::span<double> quad,
-                        std::size_t nplanes,
-                        compute::BackendKind kind = compute::BackendKind::Auto) const;
+                        std::size_t nplanes) const;
     void project_planes(std::span<const double> quad, std::span<double> modal,
-                        std::size_t nplanes,
-                        compute::BackendKind kind = compute::BackendKind::Auto) const;
+                        std::size_t nplanes) const;
     void weak_inner_planes(std::span<const double> quad, std::span<double> rhs,
-                           std::size_t nplanes,
-                           compute::BackendKind kind = compute::BackendKind::Auto) const;
+                           std::size_t nplanes) const;
     void grad_from_modal_planes(std::span<const double> modal, std::span<double> dudx,
-                                std::span<double> dudy, std::size_t nplanes,
-                                compute::BackendKind kind = compute::BackendKind::Auto) const;
+                                std::span<double> dudy, std::size_t nplanes) const;
 
     /// Fused nonlinear convective term (see compute::Backend::convect_planes):
     ///   nu = -(au du/dx + av du/dy),  nv = -(au dv/dx + av dv/dy),
     /// all fields at the quadrature points, batched over element groups.
     void convect_planes(std::span<const double> au, std::span<const double> av,
                         std::span<const double> u, std::span<const double> v,
-                        std::span<double> nu, std::span<double> nv, std::size_t nplanes,
-                        compute::BackendKind kind = compute::BackendKind::Auto) const;
+                        std::span<double> nu, std::span<double> nv, std::size_t nplanes) const;
 
     /// Evaluates a function at every quadrature point.
     void eval_at_quad(const std::function<double(double, double)>& f,
@@ -177,8 +161,7 @@ private:
     std::size_t modal_size_ = 0, quad_size_ = 0;
     std::vector<ElemGroup> groups_;
     bool single_group_ = false; ///< one contiguous group covers the mesh
-    compute::BackendKind backend_ = compute::BackendKind::Dense; ///< resolved default
-    std::unique_ptr<compute::Backend> dense_, sumfact_;
+    std::unique_ptr<compute::Backend> engine_;
 };
 
 } // namespace nektar

@@ -90,9 +90,7 @@ AleNS2d::AleNS2d(const mesh::Mesh& full_mesh, std::size_t order, AleOptions opts
     SubMesh sub = build_submesh(full_mesh, part, rank);
     if (sub.elements.empty()) throw std::invalid_argument("AleNS2d: rank owns no elements");
     local_mesh_ = sub.mesh;
-    backend_ = compute::resolve(opts_.backend, compute::default_backend());
-    disc_ = std::make_shared<Discretization>(local_mesh_, order_, /*renumber=*/false,
-                                             backend_);
+    disc_ = std::make_shared<Discretization>(local_mesh_, order_, /*renumber=*/false);
 
     // Global dof ids for gather-scatter: derived from a dof map of the full
     // mesh (identical on every rank).
@@ -158,16 +156,14 @@ AleNS2d::AleNS2d(const mesh::Mesh& full_mesh, std::size_t order, AleOptions opts
 }
 
 void AleNS2d::rebuild_discretization() {
-    // The per-step rebuild keeps the same compute backend: a Discretization
-    // built with backend_ resolves Auto call sites to it.
-    disc_ = std::make_shared<Discretization>(local_mesh_, order_, /*renumber=*/false,
-                                             backend_);
+    // The per-step rebuild keeps the order, and with it the compute engine.
+    disc_ = std::make_shared<Discretization>(local_mesh_, order_, /*renumber=*/false);
 }
 
 std::uint64_t AleNS2d::options_fingerprint() const {
     ckpt::Fingerprint fp;
     fp.add("AleNS2d")
-        .add(compute::to_string(backend_))
+        .add(disc_->engine().name())
         .add(opts_.dt)
         .add(opts_.viscosity)
         .add(static_cast<std::uint64_t>(opts_.time_order))
@@ -433,8 +429,7 @@ void AleNS2d::nonlinear(std::vector<std::vector<double>>& nl) const {
     const std::size_t nq = disc_->quad_size();
     // Advecting velocity is (u, v - w_mesh); the differentiated fields stay
     // (u, v).  Derivatives, chain rule, products and sign run fused in
-    // compute::Backend::convect_planes.  The discretization was built with
-    // backend_, so Auto resolves to it.
+    // compute::Backend::convect_planes.
     std::vector<double> vrel(nq);
     for (std::size_t i = 0; i < nq; ++i) vrel[i] = vq_[i] - wq_[i];
     disc_->convect_planes(uq_, vrel, uq_, vq_, nl[0], nl[1], 1);

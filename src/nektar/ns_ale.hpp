@@ -106,10 +106,6 @@ private:
         const HelmholtzBC& bc, const std::function<double(double, double)>& g) const;
 
     AleOptions opts_;
-    /// Resolved compute backend (opts_.backend, Auto -> disc default);
-    /// rebuild_discretization() passes it through so per-step mesh rebuilds
-    /// keep the same engine.
-    compute::BackendKind backend_ = compute::BackendKind::Auto;
     simmpi::Comm* comm_;
     std::size_t order_;
     // Local piece of the mesh (vertices move every step).

@@ -29,7 +29,6 @@ FourierNS::FourierNS(std::shared_ptr<const Discretization> disc, FourierNsOption
     : SolverCore(opts.time_order, opts.dt, /*num_fields=*/3),
       disc_(std::move(disc)),
       opts_(opts),
-      backend_(compute::resolve(opts.backend, disc_->backend())),
       comm_(comm),
       mloc_(opts.num_modes / (comm ? static_cast<std::size_t>(comm->size()) : 1)),
       nplanes_(2 * mloc_),
@@ -89,7 +88,7 @@ FourierNS::FourierNS(std::shared_ptr<const Discretization> disc, FourierNsOption
 std::uint64_t FourierNS::options_fingerprint() const {
     ckpt::Fingerprint fp;
     fp.add("FourierNS")
-        .add(compute::to_string(backend_))
+        .add(disc_->engine().name())
         .add(opts_.dt)
         .add(opts_.viscosity)
         .add(static_cast<std::uint64_t>(opts_.time_order))
@@ -182,9 +181,9 @@ void FourierNS::load_state(const Field3Fn& u0, const Field3Fn& v0, const Field3F
             }
         }
         quad_[c] = plane_quads;
-        disc_->project_planes(quad_[c], modal_[c], nplanes_, backend_);
+        disc_->project_planes(quad_[c], modal_[c], nplanes_);
         // Consistent quad values from the projected coefficients.
-        disc_->to_quad_planes(modal_[c], quad_[c], nplanes_, backend_);
+        disc_->to_quad_planes(modal_[c], quad_[c], nplanes_);
     }
 }
 
@@ -215,7 +214,7 @@ void FourierNS::set_initial_exact(const TimeField3Fn& u, const TimeField3Fn& v,
 void FourierNS::transform_all_to_quad() {
     // All local planes of a component fuse into the batch dimension: on a
     // single-group mesh this is one dgemm per component.
-    for (int c = 0; c < 3; ++c) disc_->to_quad_planes(modal_[c], quad_[c], nplanes_, backend_);
+    for (int c = 0; c < 3; ++c) disc_->to_quad_planes(modal_[c], quad_[c], nplanes_);
 }
 
 void FourierNS::nonlinear(std::vector<std::vector<double>>& nl) {
@@ -363,7 +362,7 @@ void FourierNS::stage_pressure_rhs(const StepContext& ctx,
             blaslite::daxpy(reim == 0 ? -bk : bk, wp, div);
             blaslite::dscal(-1.0 / ctx.dt, div);
             std::fill(local.begin(), local.end(), 0.0);
-            disc_->weak_inner(div, local, backend_);
+            disc_->weak_inner(div, local);
             disc_->gather_add(local, prhs_[p]);
         }
     }
@@ -395,8 +394,8 @@ void FourierNS::stage_viscous_rhs(const StepContext& ctx,
     // Batched over every plane at once: the in-plane pressure gradient,
     // the plane interpolation for dp/dz, and the weak inner products.
     std::vector<double> px(nplanes_ * nq), py(nplanes_ * nq), pquad(nplanes_ * nq);
-    disc_->grad_from_modal_planes(p_modal_, px, py, nplanes_, backend_);
-    disc_->to_quad_planes(p_modal_, pquad, nplanes_, backend_);
+    disc_->grad_from_modal_planes(p_modal_, px, py, nplanes_);
+    disc_->to_quad_planes(p_modal_, pquad, nplanes_);
     for (std::size_t m = 0; m < mloc_; ++m) {
         const double bk = beta(global_mode(m));
         for (int reim = 0; reim < 2; ++reim) {
@@ -416,7 +415,7 @@ void FourierNS::stage_viscous_rhs(const StepContext& ctx,
     for (int c = 0; c < 3; ++c) {
         blaslite::dscal(scale, hat[static_cast<std::size_t>(c)]);
         std::fill(local.begin(), local.end(), 0.0);
-        disc_->weak_inner_planes(hat[static_cast<std::size_t>(c)], local, nplanes_, backend_);
+        disc_->weak_inner_planes(hat[static_cast<std::size_t>(c)], local, nplanes_);
         for (std::size_t p = 0; p < nplanes_; ++p)
             disc_->gather_add(
                 std::span<const double>(local).subspan(p * disc_->modal_size(),

@@ -108,8 +108,6 @@ private:
 
     std::shared_ptr<const Discretization> disc_;
     FourierNsOptions opts_;
-    /// Resolved compute backend (opts_.backend, Auto -> disc default).
-    compute::BackendKind backend_ = compute::BackendKind::Auto;
     simmpi::Comm* comm_;
     std::size_t mloc_;       ///< complex modes per rank
     std::size_t nplanes_;    ///< 2 * mloc_

@@ -12,7 +12,6 @@ SerialNS2d::SerialNS2d(std::shared_ptr<const Discretization> disc, SerialNsOptio
     : SolverCore(opts.time_order, opts.dt, /*num_fields=*/2),
       disc_(std::move(disc)),
       opts_(opts),
-      backend_(compute::resolve(opts.backend, disc_->backend())),
       pressure_solver_(disc_, 0.0, opts.pressure_bc) {
     velocity_solvers_.configure([this](double gamma0) {
         std::vector<HelmholtzDirect> v;
@@ -37,7 +36,7 @@ SerialNS2d::SerialNS2d(std::shared_ptr<const Discretization> disc, SerialNsOptio
 std::uint64_t SerialNS2d::options_fingerprint() const {
     ckpt::Fingerprint fp;
     fp.add("SerialNS2d")
-        .add(compute::to_string(backend_))
+        .add(disc_->engine().name())
         .add(opts_.dt)
         .add(opts_.viscosity)
         .add(static_cast<std::uint64_t>(opts_.time_order))
@@ -78,12 +77,12 @@ void SerialNS2d::load_state(const std::function<double(double, double)>& u0,
                             const std::function<double(double, double)>& v0) {
     disc_->eval_at_quad(u0, uq_);
     disc_->eval_at_quad(v0, vq_);
-    disc_->project(uq_, u_modal_, backend_);
-    disc_->project(vq_, v_modal_, backend_);
+    disc_->project(uq_, u_modal_);
+    disc_->project(vq_, v_modal_);
     // Re-evaluate at quad points from the projected modal field so state is
     // consistent (the projection is not interpolation).
-    disc_->to_quad(u_modal_, uq_, backend_);
-    disc_->to_quad(v_modal_, vq_, backend_);
+    disc_->to_quad(u_modal_, uq_);
+    disc_->to_quad(v_modal_, vq_);
 }
 
 void SerialNS2d::set_initial(const std::function<double(double, double)>& u0,
@@ -114,13 +113,13 @@ void SerialNS2d::nonlinear(const std::vector<double>& uq, const std::vector<doub
     // N_u = -(u du/dx + v du/dy), N_v = -(u dv/dx + v dv/dy): batched
     // collocation derivatives with the chain rule, products and sign fused
     // into one scatter (compute::Backend::convect_planes).
-    disc_->convect_planes(uq, vq, uq, vq, nu_out, nv_out, 1, backend_);
+    disc_->convect_planes(uq, vq, uq, vq, nu_out, nv_out, 1);
 }
 
 // Stage 1: transform modal -> quadrature space.
 void SerialNS2d::stage_transform(const StepContext&) {
-    disc_->to_quad(u_modal_, uq_, backend_);
-    disc_->to_quad(v_modal_, vq_, backend_);
+    disc_->to_quad(u_modal_, uq_);
+    disc_->to_quad(v_modal_, vq_);
 }
 
 // Stage 2: nonlinear terms at quadrature points.
@@ -147,7 +146,7 @@ void SerialNS2d::stage_pressure_rhs(const StepContext& ctx,
     blaslite::daxpy(1.0, dy, div);
     blaslite::dscal(-1.0 / ctx.dt, div);
     std::vector<double> local(disc_->modal_size(), 0.0);
-    disc_->weak_inner(div, local, backend_);
+    disc_->weak_inner(div, local);
     disc_->gather_add(local, prhs_);
 }
 
@@ -163,7 +162,7 @@ void SerialNS2d::stage_viscous_rhs(const StepContext& ctx,
                                    std::vector<std::vector<double>>& hat) {
     const std::size_t nq = disc_->quad_size();
     std::vector<double> px(nq), py(nq);
-    disc_->grad_from_modal(p_modal_, px, py, backend_);
+    disc_->grad_from_modal(p_modal_, px, py);
     blaslite::daxpy(-ctx.dt, px, hat[0]);
     blaslite::daxpy(-ctx.dt, py, hat[1]);
     const double scale = 1.0 / (opts_.viscosity * ctx.dt);
@@ -172,8 +171,8 @@ void SerialNS2d::stage_viscous_rhs(const StepContext& ctx,
     urhs_.assign(disc_->dofmap().num_global(), 0.0);
     vrhs_.assign(disc_->dofmap().num_global(), 0.0);
     std::vector<double> lu(disc_->modal_size(), 0.0), lv(disc_->modal_size(), 0.0);
-    disc_->weak_inner(hat[0], lu, backend_);
-    disc_->weak_inner(hat[1], lv, backend_);
+    disc_->weak_inner(hat[0], lu);
+    disc_->weak_inner(hat[1], lv);
     disc_->gather_add(lu, urhs_);
     disc_->gather_add(lv, vrhs_);
 }
@@ -193,15 +192,15 @@ void SerialNS2d::stage_viscous_solve(const StepContext& ctx) {
 }
 
 void SerialNS2d::end_step(const StepContext&) {
-    disc_->to_quad(u_modal_, uq_, backend_);
-    disc_->to_quad(v_modal_, vq_, backend_);
+    disc_->to_quad(u_modal_, uq_);
+    disc_->to_quad(v_modal_, vq_);
 }
 
 std::vector<double> SerialNS2d::vorticity_quad() const {
     const std::size_t nq = disc_->quad_size();
     std::vector<double> w(nq), dx(nq), dy(nq);
-    disc_->grad_from_modal(v_modal_, w, dy, backend_);
-    disc_->grad_from_modal(u_modal_, dx, dy, backend_);
+    disc_->grad_from_modal(v_modal_, w, dy);
+    disc_->grad_from_modal(u_modal_, dx, dy);
     for (std::size_t q = 0; q < nq; ++q) w[q] -= dy[q];
     return w;
 }
@@ -209,8 +208,8 @@ std::vector<double> SerialNS2d::vorticity_quad() const {
 double SerialNS2d::divergence_norm() const {
     const std::size_t nq = disc_->quad_size();
     std::vector<double> div(nq), dx(nq), dy(nq);
-    disc_->grad_from_modal(u_modal_, div, dy, backend_);
-    disc_->grad_from_modal(v_modal_, dx, dy, backend_);
+    disc_->grad_from_modal(u_modal_, div, dy);
+    disc_->grad_from_modal(v_modal_, dx, dy);
     for (std::size_t q = 0; q < nq; ++q) div[q] += dy[q];
     return disc_->l2_norm(div);
 }

@@ -90,8 +90,6 @@ private:
 
     std::shared_ptr<const Discretization> disc_;
     SerialNsOptions opts_;
-    /// Resolved compute backend (opts_.backend, Auto -> disc default).
-    compute::BackendKind backend_ = compute::BackendKind::Auto;
     HelmholtzDirect pressure_solver_;
     /// Velocity Helmholtz operators keyed on the *effective* startup order,
     /// so the implicit lambda = gamma0/(nu dt) always matches the explicit

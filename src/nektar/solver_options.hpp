@@ -5,7 +5,6 @@
 #include <functional>
 #include <string>
 
-#include "compute/backend.hpp"
 #include "la/cg.hpp"
 #include "nektar/helmholtz.hpp"
 
@@ -47,11 +46,6 @@ struct SolverOptions {
     /// Checkpoint the full solver state every N steps through the sink set
     /// with SolverCore::set_checkpoint_sink() (0 = never, the default).
     int checkpoint_every = 0;
-    /// Compute backend for the elemental transforms (compute/backend.hpp):
-    /// Auto defers to the discretization default, itself $REPRO_BACKEND.
-    /// The resolved name is folded into the options fingerprint, so a
-    /// checkpoint refuses to restore under a different backend.
-    compute::BackendKind backend = compute::BackendKind::Auto;
 };
 
 struct SerialNsOptions : SolverOptions {};

@@ -175,12 +175,15 @@ std::string RunReport::to_canonical_json() const {
     return masked.to_json();
 }
 
-void RunReport::write_json(const std::string& path) const {
+void RunReport::write_json(const std::string& path) const { write_file(path, to_json()); }
+
+void write_file(const std::string& path, std::string_view text) {
     std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) throw std::runtime_error("cannot write RunReport to " + path);
-    const std::string json = to_json();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
+    if (f == nullptr) throw std::runtime_error("cannot open " + path + " for writing");
+    const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
+    const bool closed = std::fclose(f) == 0;
+    if (written != text.size() || !closed)
+        throw std::runtime_error("short write to " + path);
 }
 
 RunReport report(std::string bench, const StageBreakdown* bd, const simmpi::RankReport* rank) {

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -68,6 +69,7 @@ struct RunReport {
     std::vector<Case> cases;
 
     [[nodiscard]] std::string to_json() const;
+    /// write_file(path, to_json()).
     void write_json(const std::string& path) const;
 
     /// to_json() with every host-measured time zeroed — the per-stage
@@ -90,5 +92,10 @@ struct RunReport {
 /// its arguments, so a stored report is a pure function of its request.
 [[nodiscard]] RunReport report(std::string bench, const StageBreakdown* bd = nullptr,
                                const simmpi::RankReport* rank = nullptr);
+
+/// Writes `text` to `path`, replacing any previous contents.  Throws
+/// std::runtime_error unless every byte reached the file: a failed open, a
+/// short fwrite or a failed fclose (where a buffered ENOSPC surfaces).
+void write_file(const std::string& path, std::string_view text);
 
 } // namespace perf

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -169,6 +170,15 @@ TEST(CkptFormat, FileRoundTripAndTruncatedFile) {
     std::fclose(f);
     EXPECT_THROW((void)Checkpoint::read_file(path), Error);
     std::remove(path.c_str());
+}
+
+TEST(CkptFormat, WriteToFullDeviceThrows) {
+    // One small section stays inside stdio's buffer, so fwrite succeeds and
+    // the ENOSPC only shows when fclose flushes it.
+    Checkpoint c;
+    c.add("meta").u64(1);
+    ASSERT_LT(c.serialize().size(), 512u);
+    EXPECT_THROW(c.write_file("/dev/full"), std::runtime_error);
 }
 
 TEST(CkptFingerprint, StableAndOrderSensitive) {

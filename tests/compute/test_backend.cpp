@@ -1,5 +1,5 @@
-/// Golden-equivalence and implementation-property tests for the pluggable
-/// compute backend (compute::Backend).
+/// Golden-equivalence and implementation-property tests for the two compute
+/// engines (compute::Backend), and for the order-based choice between them.
 ///
 /// The sum-factorised engine must reproduce the dense reference within
 /// documented tolerance bounds across orders 2-12, element groupings
@@ -11,10 +11,10 @@
 /// that rounding — its documented bound is a scaled 1e-10.  The fused
 /// convective term uses one shared implementation, so it must be
 /// bit-identical across backends.  Operation counts must show the dense
-/// O(P^4) -> sum-factorised O(P^3) reduction exactly, and a checkpoint
-/// taken under one backend must refuse to restore under the other (the
-/// resolved backend name is folded into every solver's options
-/// fingerprint).
+/// O(P^4) -> sum-factorised O(P^3) reduction exactly.  The engines are built
+/// directly, so each comparison runs both on the same discretization.  A
+/// Discretization itself runs one engine, picked by its order
+/// (compute::kSumFactorMinOrder).
 #include "compute/backend_impl.hpp"
 
 #include <gtest/gtest.h>
@@ -33,6 +33,8 @@
 namespace {
 
 using compute::BackendKind;
+using compute::DenseBackend;
+using compute::SumFactorBackend;
 using nektar::Discretization;
 using nektar::ElemGroup;
 
@@ -92,6 +94,8 @@ TEST_P(BackendEquivalence, SumFactMatchesDenseOnEveryGroupShape) {
     const std::size_t order = GetParam();
     const std::size_t nplanes = 3;
     for (const auto& disc : test_discs(order)) {
+        const DenseBackend dense(*disc);
+        const SumFactorBackend sumfact(*disc);
         const std::size_t nm = disc->modal_size() * nplanes;
         const std::size_t nq = disc->quad_size() * nplanes;
         for (const unsigned seed : {11u, 29u, 47u}) {
@@ -99,21 +103,21 @@ TEST_P(BackendEquivalence, SumFactMatchesDenseOnEveryGroupShape) {
             const auto quad_in = test_field(nq, seed + 1);
 
             std::vector<double> qd(nq), qs(nq);
-            disc->to_quad_planes(modal, qd, nplanes, BackendKind::Dense);
-            disc->to_quad_planes(modal, qs, nplanes, BackendKind::SumFactor);
+            dense.to_quad_planes(modal, qd, nplanes);
+            sumfact.to_quad_planes(modal, qs, nplanes);
             const double direct_tol = 1e-12 * std::max(1.0, max_abs(qd));
             EXPECT_LE(max_abs_diff(qd, qs), direct_tol)
                 << "to_quad order " << order << " seed " << seed;
 
             std::vector<double> rd(nm, 0.0), rs(nm, 0.0);
-            disc->weak_inner_planes(quad_in, rd, nplanes, BackendKind::Dense);
-            disc->weak_inner_planes(quad_in, rs, nplanes, BackendKind::SumFactor);
+            dense.weak_inner_planes(quad_in, rd, nplanes);
+            sumfact.weak_inner_planes(quad_in, rs, nplanes);
             EXPECT_LE(max_abs_diff(rd, rs), 1e-12 * std::max(1.0, max_abs(rd)))
                 << "weak_inner order " << order << " seed " << seed;
 
             std::vector<double> dxd(nq), dyd(nq), dxs(nq), dys(nq);
-            disc->grad_from_modal_planes(modal, dxd, dyd, nplanes, BackendKind::Dense);
-            disc->grad_from_modal_planes(modal, dxs, dys, nplanes, BackendKind::SumFactor);
+            dense.grad_from_modal_planes(modal, dxd, dyd, nplanes);
+            sumfact.grad_from_modal_planes(modal, dxs, dys, nplanes);
             const double grad_tol =
                 1e-12 * std::max({1.0, max_abs(dxd), max_abs(dyd)});
             EXPECT_LE(max_abs_diff(dxd, dxs), grad_tol)
@@ -125,8 +129,8 @@ TEST_P(BackendEquivalence, SumFactMatchesDenseOnEveryGroupShape) {
             // mass-matrix Cholesky solve, which amplifies contraction-order
             // rounding by the mass condition number: documented bound 1e-10.
             std::vector<double> pd(nm), ps(nm);
-            disc->project_planes(quad_in, pd, nplanes, BackendKind::Dense);
-            disc->project_planes(quad_in, ps, nplanes, BackendKind::SumFactor);
+            dense.project_planes(quad_in, pd, nplanes);
+            sumfact.project_planes(quad_in, ps, nplanes);
             EXPECT_LE(max_abs_diff(pd, ps), 1e-10 * std::max(1.0, max_abs(pd)))
                 << "project order " << order << " seed " << seed;
         }
@@ -146,8 +150,8 @@ TEST_P(BackendEquivalence, ConvectIsBitIdenticalAcrossBackends) {
     const auto u = test_field(nq, 3);
     const auto v = test_field(nq, 5);
     std::vector<double> nud(nq), nvd(nq), nus(nq), nvs(nq);
-    disc->convect_planes(u, v, u, v, nud, nvd, nplanes, BackendKind::Dense);
-    disc->convect_planes(u, v, u, v, nus, nvs, nplanes, BackendKind::SumFactor);
+    DenseBackend(*disc).convect_planes(u, v, u, v, nud, nvd, nplanes);
+    SumFactorBackend(*disc).convect_planes(u, v, u, v, nus, nvs, nplanes);
     EXPECT_EQ(0, std::memcmp(nud.data(), nus.data(), nud.size() * sizeof(double)));
     EXPECT_EQ(0, std::memcmp(nvd.data(), nvs.data(), nvd.size() * sizeof(double)));
 }
@@ -182,6 +186,8 @@ TEST(BackendOpCounts, SumFactorisationCutsTransformFlopsToP3) {
         const std::uint64_t n1 = tb->nq1d, m1 = tb->nm1d;
         const std::uint64_t cols = disc->num_elements() * nplanes;
         const std::uint64_t nm = m1 * m1, nq = n1 * n1;
+        const DenseBackend dense(*disc);
+        const SumFactorBackend sumfact(*disc);
 
         const auto modal = test_field(disc->modal_size() * nplanes, 7);
         std::vector<double> quad(disc->quad_size() * nplanes);
@@ -190,22 +196,22 @@ TEST(BackendOpCounts, SumFactorisationCutsTransformFlopsToP3) {
         blaslite::OpCounts dense_tq, sf_tq, dense_wi, sf_wi;
         {
             blaslite::CountScope s;
-            disc->to_quad_planes(modal, quad, nplanes, BackendKind::Dense);
+            dense.to_quad_planes(modal, quad, nplanes);
             dense_tq = s.delta();
         }
         {
             blaslite::CountScope s;
-            disc->to_quad_planes(modal, quad, nplanes, BackendKind::SumFactor);
+            sumfact.to_quad_planes(modal, quad, nplanes);
             sf_tq = s.delta();
         }
         {
             blaslite::CountScope s;
-            disc->weak_inner_planes(quad, rhs, nplanes, BackendKind::Dense);
+            dense.weak_inner_planes(quad, rhs, nplanes);
             dense_wi = s.delta();
         }
         {
             blaslite::CountScope s;
-            disc->weak_inner_planes(quad, rhs, nplanes, BackendKind::SumFactor);
+            sumfact.weak_inner_planes(quad, rhs, nplanes);
             sf_wi = s.delta();
         }
 
@@ -235,30 +241,65 @@ TEST(BackendPlans, FactorisedGroupCoverageMatchesTensorBases) {
     // tensor factorisation: all of an all-quad mesh, none of an all-tri
     // mesh, and exactly the quad group of the mixed mesh (whose tri group
     // takes the dense fallback).
-    for (const auto& disc : test_discs(5)) {
-        const auto& engine = disc->engine(BackendKind::SumFactor);
-        const auto* sf = dynamic_cast<const compute::SumFactorBackend*>(&engine);
-        ASSERT_NE(sf, nullptr);
+    const auto discs = test_discs(5);
+    std::vector<std::size_t> counts;
+    for (const auto& disc : discs) {
         std::size_t with_tensor = 0;
         for (const ElemGroup& g : disc->groups())
             if (g.exp->tensor_basis() != nullptr) ++with_tensor;
-        EXPECT_EQ(sf->num_factorised_groups(), with_tensor);
+        counts.push_back(SumFactorBackend(*disc).num_factorised_groups());
+        EXPECT_EQ(counts.back(), with_tensor);
     }
     // The three meshes cover the full spectrum explicitly.
-    const auto discs = test_discs(5);
-    const auto count = [](const std::shared_ptr<Discretization>& d) {
-        return dynamic_cast<const compute::SumFactorBackend&>(d->engine(BackendKind::SumFactor))
-            .num_factorised_groups();
-    };
-    EXPECT_EQ(count(discs[0]), discs[0]->groups().size()); // quads: all
-    EXPECT_EQ(count(discs[1]), 0u);                        // tris: none
-    EXPECT_GT(count(discs[2]), 0u);                        // mixed: quad group only
-    EXPECT_LT(count(discs[2]), discs[2]->groups().size());
+    EXPECT_EQ(counts[0], discs[0]->groups().size()); // quads: all
+    EXPECT_EQ(counts[1], 0u);                        // tris: none
+    EXPECT_GT(counts[2], 0u);                        // mixed: quad group only
+    EXPECT_LT(counts[2], discs[2]->groups().size());
 }
 
-TEST(BackendFingerprint, CheckpointRefusesCrossBackendRestore) {
-    // Wall everywhere except an outflow face: an all-Neumann pressure
-    // Poisson would need a pinned DOF.
+TEST(DiscretizationEngine, OrderBelowCrossoverRunsDense) {
+    static_assert(compute::kSumFactorMinOrder == 8);
+    const Discretization disc(
+        std::make_shared<mesh::Mesh>(mesh::rectangle_quads(3, 2, 0.0, 1.0, 0.0, 1.0)), 7);
+    EXPECT_EQ(disc.engine().kind(), BackendKind::Dense);
+    EXPECT_STREQ(disc.engine().name(), "dense");
+    EXPECT_NE(dynamic_cast<const DenseBackend*>(&disc.engine()), nullptr);
+    EXPECT_EQ(dynamic_cast<const SumFactorBackend*>(&disc.engine()), nullptr);
+}
+
+TEST(DiscretizationEngine, CrossoverOrderRunsSumFactor) {
+    const Discretization disc(
+        std::make_shared<mesh::Mesh>(mesh::rectangle_quads(3, 2, 0.0, 1.0, 0.0, 1.0)),
+        compute::kSumFactorMinOrder);
+    EXPECT_EQ(disc.engine().kind(), BackendKind::SumFactor);
+    EXPECT_STREQ(disc.engine().name(), "sumfact");
+    const auto* sf = dynamic_cast<const SumFactorBackend*>(&disc.engine());
+    ASSERT_NE(sf, nullptr);
+    EXPECT_EQ(sf->num_factorised_groups(), disc.groups().size());
+}
+
+TEST(DiscretizationEngine, MixedMeshAtCrossoverKeepsTrianglesOnDenseFallback) {
+    const Discretization disc(std::make_shared<mesh::Mesh>(mixed_mesh()),
+                              compute::kSumFactorMinOrder);
+    EXPECT_EQ(disc.engine().kind(), BackendKind::SumFactor);
+    const auto* sf = dynamic_cast<const SumFactorBackend*>(&disc.engine());
+    ASSERT_NE(sf, nullptr);
+    ASSERT_EQ(disc.groups().size(), 2u);
+    EXPECT_EQ(sf->num_factorised_groups(), 1u); // the quad group; tris run dense
+
+    // The discretization's transforms are its engine's, tri group included.
+    const std::size_t nm = disc.modal_size(), nq = disc.quad_size();
+    const auto modal = test_field(nm, 13);
+    std::vector<double> via_disc(nq), via_dense(nq);
+    disc.to_quad(modal, via_disc);
+    DenseBackend(disc).to_quad_planes(modal, via_dense, 1);
+    EXPECT_LE(max_abs_diff(via_disc, via_dense), 1e-12 * std::max(1.0, max_abs(via_dense)));
+}
+
+TEST(EngineFingerprint, SerialOrder4FingerprintIsUnchanged) {
+    // Order 4 runs the dense engine, exactly as the default did before the
+    // engine was picked by order, so its options fingerprint (and with it
+    // every checkpoint header) keeps the recorded value.
     auto m = mesh::rectangle_quads(2, 2, 0.0, 1.0, 0.0, 1.0);
     m.tag_boundary(mesh::BoundaryTag::Wall, [](double, double) { return true; });
     m.tag_boundary(mesh::BoundaryTag::Outflow, [](double x, double) { return x > 1.0 - 1e-9; });
@@ -267,37 +308,9 @@ TEST(BackendFingerprint, CheckpointRefusesCrossBackendRestore) {
     nektar::SerialNsOptions opts;
     opts.dt = 1e-3;
     opts.viscosity = 0.01;
-    const auto init_u = [](double x, double y) { return std::sin(x) * std::cos(y); };
-    const auto init_v = [](double x, double y) { return -std::cos(x) * std::sin(y); };
-
-    opts.backend = BackendKind::Dense;
-    nektar::SerialNS2d dense_ns(disc, opts);
-    dense_ns.set_initial(init_u, init_v);
-    dense_ns.step();
-    const ckpt::Checkpoint c = dense_ns.checkpoint();
-
-    // Same backend: the fingerprint matches and the restore goes through.
-    nektar::SerialNS2d dense_twin(disc, opts);
-    dense_twin.set_initial(init_u, init_v);
-    EXPECT_NO_THROW(dense_twin.restore(c));
-
-    // Cross-backend: the resolved backend name is part of the options
-    // fingerprint, so the restore must refuse outright.
-    opts.backend = BackendKind::SumFactor;
-    nektar::SerialNS2d sumfact_ns(disc, opts);
-    sumfact_ns.set_initial(init_u, init_v);
-    EXPECT_THROW(sumfact_ns.restore(c), ckpt::Error);
-
-    // BackendKind::Auto resolves to the discretization default (dense here,
-    // absent $REPRO_BACKEND overrides), so an Auto solver accepts a
-    // checkpoint taken under the matching concrete kind.
-    opts.backend = BackendKind::Auto;
-    nektar::SerialNS2d auto_ns(disc, opts);
-    auto_ns.set_initial(init_u, init_v);
-    if (disc->backend() == BackendKind::Dense)
-        EXPECT_NO_THROW(auto_ns.restore(c));
-    else
-        EXPECT_THROW(auto_ns.restore(c), ckpt::Error);
+    const nektar::SerialNS2d ns(disc, opts);
+    // The "meta" section of every checkpoint is the options fingerprint.
+    EXPECT_EQ(ns.checkpoint().open("meta").u64(), 0xb6135c83b9306b4eull);
 }
 
 } // namespace

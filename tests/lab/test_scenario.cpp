@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "lab/fault_profiles.hpp"
 #include "lab/json.hpp"
@@ -40,10 +41,10 @@ TEST(ScenarioCanonical, ParseThenEmitIsANormalisingRoundTrip) {
     const std::string canon = req.canonical_json();
     EXPECT_EQ(ScenarioRequest::parse(canon).canonical_json(), canon);
     // Keys appear in sorted order, all fields present even when defaulted.
-    const char* keys[] = {"\"backend\"", "\"bench\"", "\"dof_per_rank\"", "\"fault\"",
-                          "\"fidelity\"", "\"machine\"", "\"net\"", "\"ranks\"",
-                          "\"schema\"", "\"seed\"", "\"smoke\"", "\"solver\"",
-                          "\"steps\"", "\"transpose\""};
+    const char* keys[] = {"\"bench\"", "\"dof_per_rank\"", "\"fault\"", "\"fidelity\"",
+                          "\"machine\"", "\"net\"", "\"ranks\"", "\"schema\"",
+                          "\"seed\"", "\"smoke\"", "\"solver\"", "\"steps\"",
+                          "\"transpose\""};
     std::size_t last = 0;
     for (const char* k : keys) {
         const std::size_t at = canon.find(k);
@@ -77,6 +78,19 @@ TEST(ScenarioParse, UnknownFieldIsRejectedByName) {
     } catch (const ParseError& e) {
         EXPECT_NE(std::string(e.what()).find("nprocs"), std::string::npos);
     }
+}
+
+TEST(ScenarioParse, BackendIsNotARequestField) {
+    // The expansion order picks the compute engine; a request cannot.
+    try {
+        (void)ScenarioRequest::parse(R"({"backend":"dense"})");
+        FAIL() << "backend field accepted";
+    } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown ScenarioRequest field \"backend\""),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(ScenarioRequest{}.canonical_json().find("backend"), std::string::npos);
 }
 
 TEST(ScenarioParse, RejectsWrongTypesAndBadEnums) {
@@ -160,6 +174,70 @@ TEST(JsonDepth, DeepObjectStringIsAParseError) {
     EXPECT_THROW((void)lab::Json::parse(nested_objects(100000)), ParseError);
     EXPECT_THROW((void)ScenarioRequest::parse(R"({"machine":)" + nested_objects(100000) + "}"),
                  ParseError);
+}
+
+/// A few canonical requests covering every field, escapes and both bools.
+std::vector<std::string> fuzz_seeds() {
+    ScenarioRequest table2;
+    table2.bench = "table2_nektar_f";
+    table2.machine = "pentium";
+    table2.net = "myrinet";
+    table2.ranks = 8;
+    table2.seed = 1999;
+    table2.dof_per_rank = 461000.0;
+    ScenarioRequest measured;
+    measured.bench = "tab\there \"quoted\" \x01";
+    measured.solver = "fourier";
+    measured.fidelity = "measured";
+    measured.fault = "commodity-eth";
+    measured.transpose = "pencil";
+    measured.smoke = true;
+    measured.steps = 3;
+    measured.ranks = 4;
+    measured.dof_per_rank = 0.125;
+    return {ScenarioRequest{}.canonical_json(), table2.canonical_json(),
+            measured.canonical_json()};
+}
+
+/// Parses `text`: a ParseError is a clean rejection; an accepted request
+/// must be a fixed point of canonical_json() -> parse().  Any other
+/// exception type escapes and fails the calling test.
+void expect_parse_or_reject(const std::string& text) {
+    ScenarioRequest req;
+    try {
+        req = ScenarioRequest::parse(text);
+    } catch (const ParseError&) {
+        return;
+    }
+    const std::string canon = req.canonical_json();
+    const ScenarioRequest again = ScenarioRequest::parse(canon);
+    EXPECT_EQ(again, req) << text;
+    EXPECT_EQ(again.canonical_json(), canon) << text;
+}
+
+TEST(ScenarioFuzz, EveryTruncationIsRejected) {
+    for (const std::string& seed : fuzz_seeds()) {
+        for (std::size_t n = 0; n < seed.size(); ++n) {
+            SCOPED_TRACE(seed.substr(0, n));
+            EXPECT_THROW((void)ScenarioRequest::parse(seed.substr(0, n)), ParseError);
+        }
+        expect_parse_or_reject(seed);
+    }
+}
+
+TEST(ScenarioFuzz, EverySingleByteSubstitutionParsesCanonicallyOrIsRejected) {
+    for (const std::string& seed : fuzz_seeds()) {
+        std::string text = seed;
+        for (std::size_t i = 0; i < text.size(); ++i) {
+            for (int b = 0; b < 256; ++b) {
+                if (static_cast<char>(b) == seed[i]) continue;
+                text[i] = static_cast<char>(b);
+                expect_parse_or_reject(text);
+            }
+            text[i] = seed[i];
+            if (HasFailure()) return; // one diagnosis, not thousands
+        }
+    }
 }
 
 TEST(ScenarioSweep, SelectorsAndRankSweepMirrorTheOldCliSemantics) {

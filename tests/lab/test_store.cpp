@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 
 #include "lab/store.hpp"
 
@@ -49,6 +50,18 @@ TEST_F(StoreTest, PersistentEntriesSurviveReopen) {
     EXPECT_EQ(*reopened.get("00000000000000aa"), bytes);
     EXPECT_EQ(reopened.keys(),
               (std::vector<std::string>{"00000000000000aa", "00000000000000bb"}));
+}
+
+TEST_F(StoreTest, ShortWriteThrowsAndLeavesNoEntry) {
+    // The temporary file is a symlink to a full device: the open succeeds,
+    // the bytes do not land, and put() must not rename the stub into place.
+    fs::create_directories(dir_);
+    const fs::path entry = fs::path(dir_) / "00000000000000dd.json";
+    fs::create_symlink("/dev/full", fs::path(dir_) / "00000000000000dd.json.tmp");
+    lab::RunReportStore store(dir_);
+    EXPECT_THROW(store.put("00000000000000dd", "{\"x\":1}\n"), std::runtime_error);
+    EXPECT_FALSE(fs::exists(fs::symlink_status(entry)));
+    EXPECT_FALSE(store.contains("00000000000000dd"));
 }
 
 TEST_F(StoreTest, FirstWriteWins) {

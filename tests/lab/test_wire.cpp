@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "lab/json.hpp"
 #include "lab/service.hpp"
 #include "lab/wire.hpp"
 
@@ -68,6 +71,49 @@ TEST(Wire, BadMagicAndTruncationAreProtocolErrors) {
         ::close(sp.client());
         sp.a = -1;
         EXPECT_THROW((void)lab::wire::recv_frame(sp.server()), std::runtime_error);
+    }
+}
+
+TEST(Wire, EveryTruncationOfAFramedRequestIsAProtocolErrorOrCleanEof) {
+    // Frame a real request, then deliver every proper prefix of it before
+    // the peer hangs up: no prefix is a frame, the empty one is a clean EOF.
+    const std::string payload =
+        R"({"bench":"wire_fuzz","fidelity":"model","machine":"pentium","ranks":8})";
+    std::string framed;
+    {
+        SocketPair sp;
+        ASSERT_TRUE(lab::wire::send_frame(sp.client(), payload));
+        ::close(sp.client());
+        sp.a = -1;
+        char buf[512];
+        for (ssize_t n; (n = ::read(sp.server(), buf, sizeof(buf))) > 0;)
+            framed.append(buf, static_cast<std::size_t>(n));
+    }
+    ASSERT_EQ(framed.size(), 8 + payload.size());
+    for (std::size_t n = 0; n <= framed.size(); ++n) {
+        SCOPED_TRACE("prefix of " + std::to_string(n) + " bytes");
+        SocketPair sp;
+        ASSERT_EQ(::write(sp.client(), framed.data(), n), static_cast<ssize_t>(n));
+        ::close(sp.client());
+        sp.a = -1;
+        std::optional<std::string> got;
+        try {
+            got = lab::wire::recv_frame(sp.server());
+        } catch (const lab::ParseError& e) {
+            ADD_FAILURE() << "payload parse error from the framing layer: " << e.what();
+            continue;
+        } catch (const std::runtime_error&) {
+            EXPECT_GT(n, 0u);
+            EXPECT_LT(n, framed.size());
+            continue;
+        }
+        if (n == 0) {
+            EXPECT_FALSE(got.has_value());
+        } else {
+            EXPECT_EQ(n, framed.size());
+            ASSERT_TRUE(got.has_value());
+            EXPECT_EQ(*got, payload);
+        }
     }
 }
 

@@ -2,12 +2,12 @@
 /// grouped/batched path must reproduce the per-element ElementOps results to
 /// 1e-12 on single-group, multi-group, and non-contiguous-group meshes, and
 /// the Fourier solver must be bitwise independent of the thread-pool size.
-/// These run on the session-default backend ($REPRO_BACKEND), so the nightly
-/// sumfact axis checks the sum-factorised engine against the same per-element
-/// references.  Projection alone gets a looser bound: the mass-matrix solve
-/// amplifies the contraction-order rounding of the weak inner product by the
-/// elemental condition number (~1e3 at order 8), so its cross-backend error
-/// sits near 5e-12 where the direct transforms stay at ~1e-14.
+/// These run on the engine the order picks, so the order-8 cases check the
+/// sum-factorised engine against the same per-element references.
+/// Projection alone gets a looser bound: the mass-matrix solve amplifies the
+/// contraction-order rounding of the weak inner product by the elemental
+/// condition number (~1e3 at order 8), so its cross-backend error sits near
+/// 5e-12 where the direct transforms stay at ~1e-14.
 #include <gtest/gtest.h>
 
 #include <cmath>
