@@ -62,11 +62,12 @@ AleRun run_ale(int nprocs, const mesh::Mesh& m, const std::vector<int>& part,
         out.bds[static_cast<std::size_t>(c.rank())] = ns.breakdown();
         if (c.rank() == 0) {
             out.field_bytes = ns.disc().quad_size() * sizeof(double);
-            // The PCG path streams the elemental matrices every iteration.
+            // The condensed PCG path streams each element's Schur block
+            // (boundary modes squared) every iteration.
             std::size_t mat_bytes = 0;
             for (std::size_t e = 0; e < ns.disc().num_elements(); ++e) {
-                const std::size_t nm = ns.disc().ops(e).num_modes();
-                mat_bytes += 2 * nm * nm * sizeof(double);
+                const std::size_t nmb = ns.disc().ops(e).expansion().num_boundary_modes();
+                mat_bytes += nmb * nmb * sizeof(double);
             }
             out.solver_bytes = mat_bytes;
         }

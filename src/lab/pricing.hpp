@@ -35,8 +35,8 @@ struct Platform {
 /// Stage shapes for the spectral/hp solvers: stages 1-4 and 6 are
 /// quadrature-space vector algebra over the whole field; stages 5 and 7
 /// stream the condensed band factor and per-class elemental matrices
-/// (direct path, HelmholtzDirect::factor_bytes()) or the elemental matrices
-/// (PCG path).
+/// (direct path, HelmholtzDirect::factor_bytes()) or the per-element Schur
+/// blocks (condensed PCG path).
 [[nodiscard]] inline std::array<perf::StageShape, perf::kNumStages + 1> solver_shapes(
     std::size_t field_bytes, std::size_t solver_bytes) {
     std::array<perf::StageShape, perf::kNumStages + 1> shapes;

@@ -1,6 +1,7 @@
 #include "nektar/helmholtz.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <map>
@@ -15,8 +16,7 @@ namespace nektar {
 
 namespace {
 
-std::vector<char> dirichlet_mask(const Discretization& disc, const HelmholtzBC& bc,
-                                 std::vector<int>* dofs_out) {
+std::vector<int> dirichlet_dof_list(const Discretization& disc, const HelmholtzBC& bc) {
     std::vector<int> dofs = disc.dofmap().boundary_dofs(
         [&](mesh::BoundaryTag t) { return bc.is_dirichlet(t); });
     if (bc.pin_first_dof && dofs.empty()) {
@@ -26,10 +26,17 @@ std::vector<char> dirichlet_mask(const Discretization& disc, const HelmholtzBC& 
         const auto& map0 = disc.dofmap().element_map(0);
         dofs.push_back(map0[disc.ops(0).expansion().vertex_mode(0)].global);
     }
-    std::vector<char> mask(disc.dofmap().num_global(), 0);
-    for (int d : dofs) mask[static_cast<std::size_t>(d)] = 1;
-    if (dofs_out) *dofs_out = std::move(dofs);
-    return mask;
+    return dofs;
+}
+
+/// The weak RHS (f, phi) assembled into the discretization's global dofs.
+std::vector<double> assembled_weak_rhs(const Discretization& disc,
+                                       std::span<const double> f_quad) {
+    std::vector<double> rhs(disc.dofmap().num_global(), 0.0);
+    std::vector<double> local(disc.modal_size(), 0.0);
+    disc.weak_inner(f_quad, local);
+    disc.gather_add(local, rhs);
+    return rhs;
 }
 
 /// Reverse Cuthill-McKee over the boundary dofs 0..n_dofs-1, adjacency given
@@ -70,7 +77,7 @@ std::vector<int> boundary_rcm(const std::vector<std::vector<int>>& elem_bdofs,
 
 } // namespace
 
-HelmholtzDirect::ClassCondensation HelmholtzDirect::condense(const ElemMatrices& mats,
+HelmholtzCondensation::ClassCondensation HelmholtzCondensation::condense(const ElemMatrices& mats,
                                                              std::size_t nmb, double lambda,
                                                              la::DenseMatrix& schur) {
     const std::size_t nm = mats.lap.rows();
@@ -88,7 +95,7 @@ HelmholtzDirect::ClassCondensation HelmholtzDirect::condense(const ElemMatrices&
     for (std::size_t i = 0; i < ni; ++i)
         for (std::size_t j = 0; j < ni; ++j) l(i, j) = a(nmb + i, nmb + j);
     if (!la::cholesky_factor(l))
-        throw std::runtime_error("HelmholtzDirect: interior block not positive definite");
+        throw std::runtime_error("Helmholtz: interior block not positive definite");
     // X = A_ii^{-1} A_ib, column by column.
     c.x.resize(ni * nmb);
     for (std::size_t j = 0; j < nmb; ++j)
@@ -112,52 +119,133 @@ HelmholtzDirect::ClassCondensation HelmholtzDirect::condense(const ElemMatrices&
 }
 
 template <class F>
-void HelmholtzDirect::for_each_run(F&& f) const {
+void HelmholtzCondensation::for_each_run(F&& f) const {
     std::size_t r = 0;
     for (const ElemGroup& g : disc_->groups())
-        for (const ElemGroup::MatrixRun& run : g.runs) f(g, run, classes_[run_class_[r++]]);
+        for (const ElemGroup::MatrixRun& run : g.runs) f(g, run, run_class_[r++]);
 }
 
-HelmholtzDirect::HelmholtzDirect(std::shared_ptr<const Discretization> disc, double lambda,
-                                 HelmholtzBC bc)
+HelmholtzCondensation::HelmholtzCondensation(std::shared_ptr<const Discretization> disc,
+                                             double lambda, HelmholtzBC bc)
     : disc_(std::move(disc)), lambda_(lambda), bc_(std::move(bc)) {
-    const DofMap& dm = disc_->dofmap();
-    const std::vector<char> is_dirichlet = dirichlet_mask(*disc_, bc_, &dirichlet_dofs_);
+    dirichlet_dofs_ = dirichlet_dof_list(*disc_, bc_);
 
-    // Condense every matrix class once; schur[c] is class c's S (row-major).
+    // Condense every matrix class once.
     std::map<const ElemMatrices*, std::size_t> class_of;
-    std::vector<la::DenseMatrix> schur;
-    std::vector<std::size_t> elem_class(disc_->num_elements());
+    elem_class_.resize(disc_->num_elements());
     for (const ElemGroup& g : disc_->groups()) {
         for (const ElemGroup::MatrixRun& run : g.runs) {
             const auto [it, fresh] = class_of.emplace(run.mats, classes_.size());
             if (fresh) {
                 la::DenseMatrix s;
                 classes_.push_back(condense(*run.mats, g.exp->num_boundary_modes(), lambda_, s));
-                schur.push_back(std::move(s));
+                schur_.push_back(std::move(s));
             }
             run_class_.push_back(it->second);
             for (std::size_t j = 0; j < run.count; ++j)
-                elem_class[g.elems[run.first + j]] = it->second;
+                elem_class_[g.elems[run.first + j]] = it->second;
         }
     }
 
-    // Boundary dofs: marked, ranked in the discretization's order, then
-    // renumbered by RCM.  cidx ends as global -> condensed (-1 = interior).
-    const std::size_t n = dm.num_global();
-    std::vector<int> cidx(n, -1);
+    // Boundary dofs: every element's vertex and edge modes, in global order.
+    const DofMap& dm = disc_->dofmap();
+    std::vector<char> is_boundary(dm.num_global(), 0);
     for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
         const auto& map = dm.element_map(e);
         const std::size_t nmb = disc_->ops(e).expansion().num_boundary_modes();
-        for (std::size_t i = 0; i < nmb; ++i) cidx[static_cast<std::size_t>(map[i].global)] = 0;
+        for (std::size_t i = 0; i < nmb; ++i)
+            is_boundary[static_cast<std::size_t>(map[i].global)] = 1;
     }
-    std::vector<int> rank_dof;
-    for (std::size_t d = 0; d < n; ++d)
-        if (cidx[d] == 0) {
-            cidx[d] = static_cast<int>(rank_dof.size());
-            rank_dof.push_back(static_cast<int>(d));
+    for (std::size_t d = 0; d < is_boundary.size(); ++d)
+        if (is_boundary[d]) bdof_.push_back(static_cast<int>(d));
+}
+
+std::vector<int> HelmholtzCondensation::condensed_index() const {
+    std::vector<int> cidx(disc_->dofmap().num_global(), -1);
+    for (std::size_t k = 0; k < bdof_.size(); ++k)
+        cidx[static_cast<std::size_t>(bdof_[k])] = static_cast<int>(k);
+    return cidx;
+}
+
+std::vector<double> HelmholtzCondensation::dirichlet_vector(
+    const std::function<double(double, double)>& g) const {
+    std::vector<double> bvals(disc_->dofmap().num_global(), 0.0);
+    if (g) {
+        const auto vals = disc_->dofmap().dirichlet_values(
+            [&](mesh::BoundaryTag t) { return bc_.is_dirichlet(t); }, g);
+        for (const auto& [dof, v] : vals) bvals[static_cast<std::size_t>(dof)] = v;
+    }
+    return bvals;
+}
+
+void HelmholtzCondensation::condense_rhs(std::span<double> rhs, std::span<double> w) const {
+    // Local loads: an interior dof belongs to one element (sign +1), so its
+    // local value is that element's f_i.
+    parallel::Scratch f(disc_->modal_size());
+    disc_->scatter(rhs, f.span());
+    for_each_run([&](const ElemGroup& g, const ElemGroup::MatrixRun& run, std::size_t k) {
+        const ClassCondensation& c = classes_[k];
+        const std::size_t nm = c.nm, ni = c.ni, nmb = nm - ni;
+        if (ni == 0) {
+            for (std::size_t j = 0; j < run.count; ++j)
+                std::fill_n(w.data() + disc_->modal_offset(g.elems[run.first + j]), nm, 0.0);
+        } else if (g.contiguous) {
+            const std::size_t off = disc_->modal_offset(g.elems[run.first]);
+            blaslite::dgemm_cm(1.0, c.fwd.data(), nm, f.data() + off + nmb, nm, 0.0,
+                               w.data() + off, nm, nm, run.count, ni);
+        } else {
+            for (std::size_t j = 0; j < run.count; ++j) {
+                const std::size_t off = disc_->modal_offset(g.elems[run.first + j]);
+                blaslite::dgemv_t(1.0, c.fwd.data(), nm, ni, nm, f.data() + off + nmb, 0.0,
+                                  w.data() + off);
+            }
         }
-    const std::size_t nb = rank_dof.size();
+    });
+    disc_->gather_add(w, rhs);
+}
+
+std::vector<double> HelmholtzCondensation::back_substitute(std::span<const double> u,
+                                                           std::span<const double> w) const {
+    std::vector<double> modal(disc_->modal_size());
+    disc_->scatter(u, modal);
+    for_each_run([&](const ElemGroup& g, const ElemGroup::MatrixRun& run, std::size_t k) {
+        const ClassCondensation& c = classes_[k];
+        const std::size_t nm = c.nm, ni = c.ni, nmb = nm - ni;
+        if (ni == 0) return;
+        for (std::size_t j = 0; j < run.count; ++j) {
+            const std::size_t off = disc_->modal_offset(g.elems[run.first + j]) + nmb;
+            std::copy_n(w.data() + off, ni, modal.data() + off);
+        }
+        if (g.contiguous) {
+            const std::size_t off = disc_->modal_offset(g.elems[run.first]);
+            blaslite::dgemm_cm(-1.0, c.x.data(), ni, modal.data() + off, nm, 1.0,
+                               modal.data() + off + nmb, nm, ni, run.count, nmb);
+        } else {
+            for (std::size_t j = 0; j < run.count; ++j) {
+                const std::size_t off = disc_->modal_offset(g.elems[run.first + j]);
+                blaslite::dgemv_t(-1.0, c.x.data(), ni, nmb, ni, modal.data() + off, 1.0,
+                                  modal.data() + off + nmb);
+            }
+        }
+    });
+    return modal;
+}
+
+// ---------------------------------------------------------------------------
+// Direct path
+// ---------------------------------------------------------------------------
+
+HelmholtzDirect::HelmholtzDirect(std::shared_ptr<const Discretization> disc, double lambda,
+                                 HelmholtzBC bc)
+    : HelmholtzCondensation(std::move(disc), lambda, std::move(bc)) {
+    const DofMap& dm = disc_->dofmap();
+    std::vector<char> is_dirichlet(dm.num_global(), 0);
+    for (int d : dirichlet_dofs_) is_dirichlet[static_cast<std::size_t>(d)] = 1;
+
+    // Renumber the boundary dofs by RCM.  cidx ends as global -> condensed
+    // (-1 = interior).
+    std::vector<int> cidx = condensed_index();
+    const std::size_t nb = bdof_.size();
     std::vector<std::vector<int>> elem_bdofs(disc_->num_elements());
     for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
         const auto& map = dm.element_map(e);
@@ -166,7 +254,7 @@ HelmholtzDirect::HelmholtzDirect(std::shared_ptr<const Discretization> disc, dou
             elem_bdofs[e].push_back(cidx[static_cast<std::size_t>(map[i].global)]);
     }
     const std::vector<int> perm = boundary_rcm(elem_bdofs, nb);
-    bdof_.resize(nb);
+    const std::vector<int> rank_dof = bdof_;
     for (std::size_t k = 0; k < nb; ++k) {
         const auto c = static_cast<std::size_t>(perm[k]);
         bdof_[c] = rank_dof[k];
@@ -184,10 +272,11 @@ HelmholtzDirect::HelmholtzDirect(std::shared_ptr<const Discretization> disc, dou
                                       cidx[static_cast<std::size_t>(map[j].global)])));
     }
 
-    // Assemble the signed Schur blocks D_b S D_b.
+    // Assemble the signed Schur blocks D_b S D_b; the band is all that is
+    // kept of them.
     la::SymBandedMatrix h(nb, kd);
     for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const la::DenseMatrix& s = schur[elem_class[e]];
+        const la::DenseMatrix& s = schur_[elem_class_[e]];
         const auto& map = dm.element_map(e);
         for (std::size_t i = 0; i < s.rows(); ++i) {
             const auto ci = static_cast<std::size_t>(cidx[static_cast<std::size_t>(map[i].global)]);
@@ -199,6 +288,7 @@ HelmholtzDirect::HelmholtzDirect(std::shared_ptr<const Discretization> disc, dou
             }
         }
     }
+    schur_ = {};
 
     // Record Dirichlet columns for RHS lifting, then reduce the system to the
     // identity on constrained dofs.
@@ -235,46 +325,10 @@ std::size_t HelmholtzDirect::factor_bytes() const noexcept {
     return doubles * sizeof(double);
 }
 
-std::vector<double> HelmholtzDirect::dirichlet_vector(
-    const std::function<double(double, double)>& g) const {
-    std::vector<double> bvals(disc_->dofmap().num_global(), 0.0);
-    if (g) {
-        const auto vals = disc_->dofmap().dirichlet_values(
-            [&](mesh::BoundaryTag t) { return bc_.is_dirichlet(t); }, g);
-        for (const auto& [dof, v] : vals) bvals[static_cast<std::size_t>(dof)] = v;
-    }
-    return bvals;
-}
-
 std::vector<double> HelmholtzDirect::solve_global(std::vector<double> rhs,
                                                   std::span<const double> dirichlet) const {
-    const std::size_t nmodal = disc_->modal_size();
-    // Local loads: an interior dof belongs to one element (sign +1), so its
-    // local value is that element's f_i.
-    parallel::Scratch f(nmodal), w(nmodal);
-    disc_->scatter(rhs, f.span());
-    // w = [-X^T f_i; A_ii^{-1} f_i] per element.
-    for_each_run([&](const ElemGroup& g, const ElemGroup::MatrixRun& run,
-                     const ClassCondensation& c) {
-        const std::size_t nm = c.nm, ni = c.ni, nmb = nm - ni;
-        if (ni == 0) {
-            for (std::size_t j = 0; j < run.count; ++j)
-                std::fill_n(w.data() + disc_->modal_offset(g.elems[run.first + j]), nm, 0.0);
-        } else if (g.contiguous) {
-            const std::size_t off = disc_->modal_offset(g.elems[run.first]);
-            blaslite::dgemm_cm(1.0, c.fwd.data(), nm, f.data() + off + nmb, nm, 0.0,
-                               w.data() + off, nm, nm, run.count, ni);
-        } else {
-            for (std::size_t j = 0; j < run.count; ++j) {
-                const std::size_t off = disc_->modal_offset(g.elems[run.first + j]);
-                blaslite::dgemv_t(1.0, c.fwd.data(), nm, ni, nm, f.data() + off + nmb, 0.0,
-                                  w.data() + off);
-            }
-        }
-    });
-    // Condensed RHS on the boundary dofs.  The interior entries of rhs pick
-    // up A_ii^{-1} f_i too; nothing reads them again.
-    disc_->gather_add(w.span(), rhs);
+    parallel::Scratch w(disc_->modal_size());
+    condense_rhs(rhs, w.span());
 
     // Lift the known boundary values, impose them, solve the boundary system.
     for (const auto& [r, d, v] : lift_)
@@ -286,40 +340,12 @@ std::vector<double> HelmholtzDirect::solve_global(std::vector<double> rhs,
     for (std::size_t k = 0; k < nb; ++k) ub[k] = rhs[static_cast<std::size_t>(bdof_[k])];
     chol_.solve(ub.span());
     for (std::size_t k = 0; k < nb; ++k) rhs[static_cast<std::size_t>(bdof_[k])] = ub[k];
-
-    // Back-substitution: u_i = A_ii^{-1} f_i - X u_b.
-    std::vector<double> modal(nmodal);
-    disc_->scatter(rhs, modal);
-    for_each_run([&](const ElemGroup& g, const ElemGroup::MatrixRun& run,
-                     const ClassCondensation& c) {
-        const std::size_t nm = c.nm, ni = c.ni, nmb = nm - ni;
-        if (ni == 0) return;
-        for (std::size_t j = 0; j < run.count; ++j) {
-            const std::size_t off = disc_->modal_offset(g.elems[run.first + j]) + nmb;
-            std::copy_n(w.data() + off, ni, modal.data() + off);
-        }
-        if (g.contiguous) {
-            const std::size_t off = disc_->modal_offset(g.elems[run.first]);
-            blaslite::dgemm_cm(-1.0, c.x.data(), ni, modal.data() + off, nm, 1.0,
-                               modal.data() + off + nmb, nm, ni, run.count, nmb);
-        } else {
-            for (std::size_t j = 0; j < run.count; ++j) {
-                const std::size_t off = disc_->modal_offset(g.elems[run.first + j]);
-                blaslite::dgemv_t(-1.0, c.x.data(), ni, nmb, ni, modal.data() + off, 1.0,
-                                  modal.data() + off + nmb);
-            }
-        }
-    });
-    return modal;
+    return back_substitute(rhs, w.span());
 }
 
 std::vector<double> HelmholtzDirect::solve(std::span<const double> f_quad,
                                            const std::function<double(double, double)>& g) const {
-    std::vector<double> rhs(disc_->dofmap().num_global(), 0.0);
-    std::vector<double> local(disc_->modal_size(), 0.0);
-    disc_->weak_inner(f_quad, local);
-    disc_->gather_add(local, rhs);
-    return solve_global(std::move(rhs), dirichlet_vector(g));
+    return solve_global(assembled_weak_rhs(*disc_, f_quad), dirichlet_vector(g));
 }
 
 // ---------------------------------------------------------------------------
@@ -327,103 +353,170 @@ std::vector<double> HelmholtzDirect::solve(std::span<const double> f_quad,
 // ---------------------------------------------------------------------------
 
 HelmholtzPCG::HelmholtzPCG(std::shared_ptr<const Discretization> disc, double lambda,
-                           HelmholtzBC bc, la::CgOptions opts)
-    : disc_(std::move(disc)), lambda_(lambda), bc_(std::move(bc)), opts_(opts) {
-    is_dirichlet_ = dirichlet_mask(*disc_, bc_, nullptr);
-    // Assembled diagonal for the Jacobi preconditioner.
-    const DofMap& dm = disc_->dofmap();
-    std::vector<double> diag(dm.num_global(), 0.0);
-    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const ElementOps& ops = disc_->ops(e);
-        const auto& map = dm.element_map(e);
-        for (std::size_t i = 0; i < ops.num_modes(); ++i)
-            diag[static_cast<std::size_t>(map[i].global)] +=
-                ops.laplacian()(i, i) + lambda_ * ops.mass()(i, i);
-    }
-    inv_diag_.resize(diag.size());
-    for (std::size_t i = 0; i < diag.size(); ++i)
-        inv_diag_[i] = is_dirichlet_[i] ? 1.0 : 1.0 / diag[i];
+                           HelmholtzBC bc, la::CgOptions opts, Hooks hooks)
+    : HelmholtzCondensation(std::move(disc), lambda, std::move(bc)),
+      opts_(opts),
+      hooks_(std::move(hooks)) {
+    // S is applied as a column-major operand: make it exactly symmetric.
+    for (la::DenseMatrix& s : schur_)
+        for (std::size_t i = 0; i < s.rows(); ++i)
+            for (std::size_t j = 0; j < i; ++j) s(i, j) = s(j, i) = 0.5 * (s(i, j) + s(j, i));
 
-    // Fuse L + lambda*M once per matrix class: the per-CG-iteration apply
-    // then runs one matrix product per congruent-element run instead of two
-    // dgemvs per element.
-    for (const ElemGroup& g : disc_->groups()) {
-        for (const ElemGroup::MatrixRun& run : g.runs) {
-            if (fused_.count(run.mats)) continue;
-            la::DenseMatrix h = run.mats->lap;
-            const la::DenseMatrix& mass = run.mats->mass;
-            for (std::size_t i = 0; i < h.rows() * h.cols(); ++i)
-                h.data()[i] += lambda_ * mass.data()[i];
-            fused_.emplace(run.mats, std::move(h));
+    // Element boundary modes -> condensed dofs, and the assembled diag(S)
+    // (signs square away).
+    const DofMap& dm = disc_->dofmap();
+    const std::vector<int> cidx = condensed_index();
+    const std::size_t nb = bdof_.size();
+    std::vector<double> diag(nb, 0.0);
+    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
+        const la::DenseMatrix& s = schur_[elem_class_[e]];
+        const auto& map = dm.element_map(e);
+        for (std::size_t i = 0; i < s.rows(); ++i) {
+            const int c = cidx[static_cast<std::size_t>(map[i].global)];
+            slot_.push_back(c);
+            slot_sign_.push_back(map[i].sign);
+            diag[static_cast<std::size_t>(c)] += s(i, i);
         }
     }
+    Work work;
+    assemble_condensed(diag, work);
+    inv_diag_.resize(nb);
+    for (std::size_t k = 0; k < nb; ++k) inv_diag_[k] = 1.0 / diag[k];
+    for (int d : dirichlet_dofs_)
+        fixed_.push_back(static_cast<std::size_t>(cidx[static_cast<std::size_t>(d)]));
+    for (std::size_t k : fixed_) inv_diag_[k] = 1.0;
+    if (!hooks_.dot_weights.empty()) {
+        dot_weights_.resize(nb);
+        for (std::size_t k = 0; k < nb; ++k)
+            dot_weights_[k] = hooks_.dot_weights[static_cast<std::size_t>(bdof_[k])];
+        hooks_.dot_weights = {};
+    }
+}
+
+void HelmholtzPCG::assemble_condensed(std::span<double> v, Work& work) const {
+    if (!hooks_.assemble) return;
+    work.global.resize(disc_->dofmap().num_global());
+    for (std::size_t k = 0; k < v.size(); ++k)
+        work.global[static_cast<std::size_t>(bdof_[k])] = v[k];
+    hooks_.assemble(work.global);
+    for (std::size_t k = 0; k < v.size(); ++k)
+        v[k] = work.global[static_cast<std::size_t>(bdof_[k])];
+}
+
+void HelmholtzPCG::apply_condensed(std::span<const double> p, std::span<double> ap,
+                                   Work& work) const {
+    // Scatter p to the elements' boundary rows, apply S per run, gather.
+    double* xl = work.xl.data();
+    double* yl = work.yl.data();
+    std::size_t slot = 0;
+    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
+        const std::size_t off = disc_->modal_offset(e);
+        const std::size_t nmb = schur_[elem_class_[e]].rows();
+        for (std::size_t i = 0; i < nmb; ++i, ++slot)
+            xl[off + i] = slot_sign_[slot] * p[static_cast<std::size_t>(slot_[slot])];
+    }
+    for_each_run([&](const ElemGroup& g, const ElemGroup::MatrixRun& run, std::size_t k) {
+        const la::DenseMatrix& s = schur_[k];
+        const std::size_t nm = classes_[k].nm, nmb = s.rows();
+        if (g.contiguous) {
+            const std::size_t off = disc_->modal_offset(g.elems[run.first]);
+            blaslite::dgemm_cm(1.0, s.data(), nmb, xl + off, nm, 0.0, yl + off, nm, nmb,
+                               run.count, nmb);
+        } else {
+            for (std::size_t j = 0; j < run.count; ++j) {
+                const std::size_t off = disc_->modal_offset(g.elems[run.first + j]);
+                blaslite::dgemv(1.0, s.data(), nmb, nmb, nmb, xl + off, 0.0, yl + off);
+            }
+        }
+    });
+    std::fill(ap.begin(), ap.end(), 0.0);
+    slot = 0;
+    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
+        const std::size_t off = disc_->modal_offset(e);
+        const std::size_t nmb = schur_[elem_class_[e]].rows();
+        for (std::size_t i = 0; i < nmb; ++i, ++slot)
+            ap[static_cast<std::size_t>(slot_[slot])] += slot_sign_[slot] * yl[off + i];
+    }
+    assemble_condensed(ap, work);
+    for (std::size_t k : fixed_) ap[k] = p[k];
 }
 
 void HelmholtzPCG::apply(std::span<const double> x, std::span<double> y) const {
     std::fill(y.begin(), y.end(), 0.0);
-    parallel::Scratch xl(disc_->modal_size()), yl(disc_->modal_size());
-    disc_->scatter(x, xl.span());
-    for (const ElemGroup& g : disc_->groups()) {
-        const std::size_t nm = g.exp->num_modes();
-        for (const ElemGroup::MatrixRun& run : g.runs) {
-            const la::DenseMatrix& h = fused_.at(run.mats);
-            if (g.contiguous) {
-                // Congruent run of adjacent blocks: Y = H X in one product
-                // (H symmetric, so the row-major buffer is the column-major
-                // operand).
-                const std::size_t off = disc_->modal_offset(g.elems[run.first]);
-                blaslite::dgemm_cm(1.0, h.data(), nm, xl.data() + off, nm, 0.0,
-                                   yl.data() + off, nm, nm, run.count, nm);
-            } else {
-                for (std::size_t j = 0; j < run.count; ++j) {
-                    const std::size_t off =
-                        disc_->modal_offset(g.elems[run.first + j]);
-                    blaslite::dgemv(1.0, h.data(), nm, nm, nm, xl.data() + off, 0.0,
-                                    yl.data() + off);
+    {
+        parallel::Scratch xl(disc_->modal_size()), yl(disc_->modal_size());
+        disc_->scatter(x, xl.span());
+        // Congruent-element runs share their Laplacian/mass matrices
+        // (symmetric, so the row-major buffers serve as the column-major
+        // left operand).
+        for (const ElemGroup& g : disc_->groups()) {
+            const std::size_t nm = g.exp->num_modes();
+            for (const ElemGroup::MatrixRun& run : g.runs) {
+                const double* lap = run.mats->lap.data();
+                const double* mass = run.mats->mass.data();
+                if (g.contiguous) {
+                    const std::size_t off = disc_->modal_offset(g.elems[run.first]);
+                    blaslite::dgemm_cm(1.0, lap, nm, xl.data() + off, nm, 0.0, yl.data() + off,
+                                       nm, nm, run.count, nm);
+                    if (lambda_ != 0.0)
+                        blaslite::dgemm_cm(lambda_, mass, nm, xl.data() + off, nm, 1.0,
+                                           yl.data() + off, nm, nm, run.count, nm);
+                } else {
+                    for (std::size_t j = 0; j < run.count; ++j) {
+                        const std::size_t off = disc_->modal_offset(g.elems[run.first + j]);
+                        blaslite::dgemv(1.0, lap, nm, nm, nm, xl.data() + off, 0.0,
+                                        yl.data() + off);
+                        if (lambda_ != 0.0)
+                            blaslite::dgemv(lambda_, mass, nm, nm, nm, xl.data() + off, 1.0,
+                                            yl.data() + off);
+                    }
                 }
             }
         }
+        disc_->gather_add(yl.span(), y);
     }
-    disc_->gather_add(yl.span(), y);
+    if (hooks_.assemble) hooks_.assemble(y);
+}
+
+std::vector<double> HelmholtzPCG::solve_global(std::vector<double> rhs,
+                                               std::span<const double> dirichlet) const {
+    std::vector<double> w(disc_->modal_size());
+    condense_rhs(rhs, w);
+
+    // The condensed system on the boundary dofs; Dirichlet rows are the
+    // identity, so u starts from (and keeps) the boundary values there.
+    const std::size_t nb = bdof_.size();
+    Work work{.xl = std::vector<double>(w.size()), .yl = std::vector<double>(w.size()),
+              .global = {}};
+    std::vector<double> b(nb), u(nb, 0.0);
+    for (std::size_t k = 0; k < nb; ++k) b[k] = rhs[static_cast<std::size_t>(bdof_[k])];
+    assemble_condensed(b, work);
+    for (std::size_t k : fixed_) b[k] = u[k] = dirichlet[static_cast<std::size_t>(bdof_[k])];
+
+    const la::CgResult res = la::pcg(
+        [&](std::span<const double> in, std::span<double> out) {
+            apply_condensed(in, out, work);
+        },
+        inv_diag_, b, u, opts_, dot_weights_,
+        [&](std::span<double> v) {
+            if (hooks_.reduce) hooks_.reduce(v);
+        });
+    last_iters_ = res.iterations;
+    if (!res.converged) {
+        char msg[160];
+        std::snprintf(msg, sizeof msg,
+                      "HelmholtzPCG: CG did not converge: %zu iterations, residual %.3e > "
+                      "tolerance %.3e",
+                      res.iterations, res.residual_norm, opts_.tolerance);
+        throw std::runtime_error(msg);
+    }
+    for (std::size_t k = 0; k < nb; ++k) rhs[static_cast<std::size_t>(bdof_[k])] = u[k];
+    return back_substitute(rhs, w);
 }
 
 std::vector<double> HelmholtzPCG::solve(std::span<const double> f_quad,
                                         const std::function<double(double, double)>& g) const {
-    const std::size_t n = disc_->dofmap().num_global();
-    std::vector<double> rhs(n, 0.0), local(disc_->modal_size(), 0.0);
-    disc_->weak_inner(f_quad, local);
-    disc_->gather_add(local, rhs);
-
-    std::vector<double> x(n, 0.0);
-    if (g) {
-        const auto vals = disc_->dofmap().dirichlet_values(
-            [&](mesh::BoundaryTag t) { return bc_.is_dirichlet(t); }, g);
-        for (const auto& [dof, v] : vals) x[static_cast<std::size_t>(dof)] = v;
-    }
-    // Lift: rhs <- rhs - H x0 on free dofs, then solve for the correction
-    // with homogeneous constraints.
-    std::vector<double> hx(n);
-    apply(x, hx);
-    for (std::size_t i = 0; i < n; ++i) rhs[i] = is_dirichlet_[i] ? 0.0 : rhs[i] - hx[i];
-
-    const auto masked_apply = [&](std::span<const double> in, std::span<double> out) {
-        std::vector<double> tmp(in.begin(), in.end());
-        for (std::size_t i = 0; i < n; ++i)
-            if (is_dirichlet_[i]) tmp[i] = 0.0;
-        apply(tmp, out);
-        for (std::size_t i = 0; i < n; ++i)
-            if (is_dirichlet_[i]) out[i] = in[i];
-    };
-    std::vector<double> dx(n, 0.0);
-    const la::CgResult res = la::pcg(masked_apply, inv_diag_, rhs, dx, opts_);
-    last_iters_ = res.iterations;
-    if (!res.converged && res.residual_norm > 1e-6)
-        throw std::runtime_error("HelmholtzPCG: CG failed to converge");
-    blaslite::daxpy(1.0, dx, x);
-
-    std::vector<double> modal(disc_->modal_size());
-    disc_->scatter(x, modal);
-    return modal;
+    return solve_global(assembled_weak_rhs(*disc_, f_quad), dirichlet_vector(g));
 }
 
 } // namespace nektar

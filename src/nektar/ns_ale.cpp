@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "blaslite/blas.hpp"
-#include "parallel/scratch.hpp"
 
 namespace nektar {
 
@@ -85,6 +84,9 @@ AleNS2d::AleNS2d(const mesh::Mesh& full_mesh, std::size_t order, AleOptions opts
     std::vector<int> part(full_mesh.num_elements(), 0);
     if (comm_ && comm_->size() > 1) {
         if (!elem_part) throw std::invalid_argument("AleNS2d: parallel run needs a partition");
+        // Each rank would pin its own first vertex: one pin per rank.
+        if (opts_.pressure_bc.pin_first_dof && opts_.pressure_bc.dirichlet.empty())
+            throw std::invalid_argument("AleNS2d: pin_first_dof needs a serial run");
         part = *elem_part;
     }
     SubMesh sub = build_submesh(full_mesh, part, rank);
@@ -119,20 +121,6 @@ AleNS2d::AleNS2d(const mesh::Mesh& full_mesh, std::size_t order, AleOptions opts
         for (std::size_t i = 0; i < mult.size(); ++i) dot_weights_[i] = 1.0 / mult[i];
     }
 
-    const auto mask_for = [&](const HelmholtzBC& bc) {
-        std::vector<char> mask(disc_->dofmap().num_global(), 0);
-        for (int d : disc_->dofmap().boundary_dofs(
-                 [&](mesh::BoundaryTag t) { return bc.is_dirichlet(t); }))
-            mask[static_cast<std::size_t>(d)] = 1;
-        return mask;
-    };
-    vel_dirichlet_ = mask_for(opts_.velocity_bc);
-    p_dirichlet_ = mask_for(opts_.pressure_bc);
-    HelmholtzBC mesh_bc{.dirichlet = {mesh::BoundaryTag::Inflow, mesh::BoundaryTag::Outflow,
-                                      mesh::BoundaryTag::Side, mesh::BoundaryTag::Wall,
-                                      mesh::BoundaryTag::Body}};
-    mesh_dirichlet_ = mask_for(mesh_bc);
-
     const std::size_t nm = disc_->modal_size();
     const std::size_t nq = disc_->quad_size();
     u_modal_.assign(nm, 0.0);
@@ -157,6 +145,7 @@ AleNS2d::AleNS2d(const mesh::Mesh& full_mesh, std::size_t order, AleOptions opts
 
 void AleNS2d::rebuild_discretization() {
     // The per-step rebuild keeps the order, and with it the compute engine.
+    disc_.reset();
     disc_ = std::make_shared<Discretization>(local_mesh_, order_, /*renumber=*/false);
 }
 
@@ -230,51 +219,14 @@ void AleNS2d::restore_state(const ckpt::Checkpoint& c) {
     }
 }
 
-void AleNS2d::gs_assemble(std::span<double> global) const {
-    if (gs_) gs_->sum(*comm_, global);
-}
-
-double AleNS2d::global_dot(std::span<const double> a, std::span<const double> b) const {
-    double s = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) s += dot_weights_[i] * a[i] * b[i];
-    blaslite::detail::charge(3 * a.size(), 3 * a.size() * sizeof(double), 0);
-    return comm_ ? comm_->allreduce_sum(s) : s;
-}
-
-void AleNS2d::apply_operator(double lambda, std::span<const double> x,
-                             std::span<double> y) const {
-    std::fill(y.begin(), y.end(), 0.0);
-    parallel::Scratch xl(disc_->modal_size()), yl(disc_->modal_size());
-    disc_->scatter(x, xl.span());
-    // Congruent-element runs share their Laplacian/mass matrices (symmetric,
-    // so row-major buffers serve as the column-major left operand), turning
-    // the per-element dgemv pair into per-run matrix products.  lambda varies
-    // between solves here (ALE rebuilds each step), so L and M stay separate.
-    for (const ElemGroup& g : disc_->groups()) {
-        const std::size_t nm = g.exp->num_modes();
-        for (const ElemGroup::MatrixRun& run : g.runs) {
-            if (g.contiguous) {
-                const std::size_t off = disc_->modal_offset(g.elems[run.first]);
-                blaslite::dgemm_cm(1.0, run.mats->lap.data(), nm, xl.data() + off, nm, 0.0,
-                                   yl.data() + off, nm, nm, run.count, nm);
-                if (lambda != 0.0)
-                    blaslite::dgemm_cm(lambda, run.mats->mass.data(), nm, xl.data() + off,
-                                       nm, 1.0, yl.data() + off, nm, nm, run.count, nm);
-            } else {
-                for (std::size_t j = 0; j < run.count; ++j) {
-                    const std::size_t off = disc_->modal_offset(g.elems[run.first + j]);
-                    blaslite::dgemv(1.0, run.mats->lap.data(), nm, nm, nm, xl.data() + off,
-                                    0.0, yl.data() + off);
-                    if (lambda != 0.0)
-                        blaslite::dgemv(lambda, run.mats->mass.data(), nm, nm, nm,
-                                        xl.data() + off, 1.0, yl.data() + off);
-                }
-            }
-        }
+HelmholtzPCG AleNS2d::make_solver(double lambda, const HelmholtzBC& bc) const {
+    HelmholtzPCG::Hooks hooks;
+    if (comm_ != nullptr) {
+        if (gs_) hooks.assemble = [this](std::span<double> v) { gs_->sum(*comm_, v); };
+        hooks.dot_weights = dot_weights_;
+        hooks.reduce = [this](std::span<double> v) { comm_->allreduce_sum(v); };
     }
-    disc_->gather_add(yl.span(), y);
-    // Interface dofs accumulate the neighbour ranks' element contributions.
-    gs_assemble(std::span<double>(y.data(), y.size()));
+    return HelmholtzPCG(disc_, lambda, bc, opts_.cg, std::move(hooks));
 }
 
 std::vector<double> AleNS2d::weak_rhs(std::span<const double> quad) const {
@@ -282,57 +234,7 @@ std::vector<double> AleNS2d::weak_rhs(std::span<const double> quad) const {
     disc_->weak_inner(quad, local);
     std::vector<double> rhs(disc_->dofmap().num_global(), 0.0);
     disc_->gather_add(local, rhs);
-    gs_assemble(rhs);
     return rhs;
-}
-
-std::vector<double> AleNS2d::dirichlet_x(const HelmholtzBC& bc,
-                                         const std::function<double(double, double)>& g) const {
-    std::vector<double> x(disc_->dofmap().num_global(), 0.0);
-    const auto vals = disc_->dofmap().dirichlet_values(
-        [&](mesh::BoundaryTag t) { return bc.is_dirichlet(t); }, g);
-    for (const auto& [dof, v] : vals) x[static_cast<std::size_t>(dof)] = v;
-    return x;
-}
-
-std::size_t AleNS2d::pcg_solve(double lambda, const std::vector<char>& dirichlet,
-                               std::span<const double> rhs, std::span<double> x) const {
-    const std::size_t n = x.size();
-    // Assembled diagonal for the Jacobi preconditioner.
-    std::vector<double> diag(n, 0.0);
-    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const ElementOps& ops = disc_->ops(e);
-        const auto& map = disc_->dofmap().element_map(e);
-        for (std::size_t i = 0; i < ops.num_modes(); ++i)
-            diag[static_cast<std::size_t>(map[i].global)] +=
-                ops.laplacian()(i, i) + lambda * ops.mass()(i, i);
-    }
-    gs_assemble(diag);
-    std::vector<double> inv_diag(n);
-    for (std::size_t i = 0; i < n; ++i) inv_diag[i] = dirichlet[i] ? 1.0 : 1.0 / diag[i];
-
-    std::vector<double> hx(n);
-    apply_operator(lambda, x, hx);
-    std::vector<double> r(n);
-    for (std::size_t i = 0; i < n; ++i) r[i] = dirichlet[i] ? 0.0 : rhs[i] - hx[i];
-
-    const auto masked_apply = [&](std::span<const double> in, std::span<double> out) {
-        std::vector<double> tmp(in.begin(), in.end());
-        for (std::size_t i = 0; i < n; ++i)
-            if (dirichlet[i]) tmp[i] = 0.0;
-        apply_operator(lambda, tmp, out);
-        for (std::size_t i = 0; i < n; ++i)
-            if (dirichlet[i]) out[i] = in[i];
-    };
-    const auto dot = [&](std::span<const double> a, std::span<const double> b) {
-        return global_dot(a, b);
-    };
-    std::vector<double> dx(n, 0.0);
-    const la::CgResult res = la::pcg(masked_apply, inv_diag, r, dx, opts_.cg, dot);
-    if (!res.converged && res.residual_norm > 1e-5)
-        throw std::runtime_error("AleNS2d: PCG failed to converge");
-    blaslite::daxpy(1.0, dx, x);
-    return res.iterations;
 }
 
 void AleNS2d::load_state(const std::function<double(double, double)>& u0,
@@ -372,44 +274,46 @@ void AleNS2d::set_initial_exact(const VelocityBC& u, const VelocityBC& v) {
 void AleNS2d::begin_step(const StepContext& ctx) {
     // --- Extra Helmholtz solve of step 7: the mesh velocity (Laplacian
     // smoothing of the prescribed boundary motion).
-    std::vector<double> wglob(disc_->dofmap().num_global(), 0.0);
+    std::vector<double> wmodal;
     {
         perf::StageScope scope(breakdown(), 7);
         const double vb = opts_.body_velocity(time());
         // Body edges move at vb; the outer boundary stays put.  The L2 edge
         // projection of the constant vb puts vb on the vertex dofs and zero
         // on the edge bubbles.
-        std::vector<double> x(disc_->dofmap().num_global(), 0.0);
+        std::vector<double> wb(disc_->dofmap().num_global(), 0.0);
         const auto vals = disc_->dofmap().dirichlet_values(
             [&](mesh::BoundaryTag t) { return t == mesh::BoundaryTag::Body; },
             [&](double, double) { return vb; });
-        for (const auto& [dof, v] : vals) x[static_cast<std::size_t>(dof)] = v;
-        std::vector<double> zero_rhs(disc_->dofmap().num_global(), 0.0);
-        pcg_solve(0.0, mesh_dirichlet_, zero_rhs, x);
-        wglob = std::move(x);
+        for (const auto& [dof, v] : vals) wb[static_cast<std::size_t>(dof)] = v;
+        const HelmholtzPCG solver = make_solver(
+            0.0, {.dirichlet = {mesh::BoundaryTag::Inflow, mesh::BoundaryTag::Outflow,
+                                mesh::BoundaryTag::Side, mesh::BoundaryTag::Wall,
+                                mesh::BoundaryTag::Body}});
+        wmodal = solver.solve_global(std::vector<double>(wb.size(), 0.0), wb);
+        last_w_iters_ = solver.last_iterations();
     }
 
     // --- Step 2 extra: update the vertex positions with the mesh velocity
     // and rebuild the geometry factors.
     {
         perf::StageScope scope(breakdown(), 2);
-        // Vertex dof value = mesh velocity at the vertex (hierarchical basis).
+        // Vertex mode value = mesh velocity at the vertex (hierarchical
+        // basis; vertex modes carry sign +1).
         for (std::size_t le = 0; le < disc_->num_elements(); ++le) {
-            const auto& map = disc_->dofmap().element_map(le);
             const auto& el = local_mesh_->element(le);
             const auto& exp = disc_->ops(le).expansion();
             for (std::size_t v = 0; v < exp.num_vertices(); ++v) {
                 const auto vid = static_cast<std::size_t>(el.v[v]);
-                const double wv = wglob[static_cast<std::size_t>(map[exp.vertex_mode(v)].global)];
+                const double wv = wmodal[disc_->modal_offset(le) + exp.vertex_mode(v)];
                 mesh::Vertex p = local_mesh_->vertex(vid);
                 p.y += ctx.dt * wv;
                 local_mesh_->set_vertex(vid, p);
             }
         }
+        // The topology is unchanged, so wmodal's layout carries over.
         rebuild_discretization();
         // Mesh velocity at the (new) quadrature points for the ALE advection.
-        std::vector<double> wmodal(disc_->modal_size());
-        disc_->scatter(wglob, wmodal);
         disc_->to_quad(wmodal, wq_);
     }
 }
@@ -455,11 +359,12 @@ void AleNS2d::stage_pressure_rhs(const StepContext& ctx,
 
 // Stage 5: pressure PCG solve.
 void AleNS2d::stage_pressure_solve(const StepContext&) {
-    std::vector<double> pglob(disc_->dofmap().num_global(), 0.0);
     if (comm_) comm_->set_stage(5);
-    last_p_iters_ = pcg_solve(0.0, p_dirichlet_, prhs_, pglob);
+    const HelmholtzPCG solver = make_solver(0.0, opts_.pressure_bc);
+    p_modal_ = solver.solve_global(std::move(prhs_),
+                                   std::vector<double>(disc_->dofmap().num_global(), 0.0));
+    last_p_iters_ = solver.last_iterations();
     if (comm_) comm_->set_stage(-1);
-    disc_->scatter(pglob, p_modal_);
 }
 
 // Stage 6: Helmholtz RHS.
@@ -484,21 +389,23 @@ void AleNS2d::stage_viscous_rhs(const StepContext& ctx,
 }
 
 // Stage 7: velocity PCG solves with lambda from the step's *effective*
-// gamma0, so the implicit operator matches the explicit weights.
+// gamma0, so the implicit operator matches the explicit weights.  One
+// condensation serves both components.
 void AleNS2d::stage_viscous_solve(const StepContext& ctx) {
     const double tn1 = ctx.t_new;
     if (comm_) comm_->set_stage(7);
     const double lambda = ctx.scheme.gamma0 / (opts_.viscosity * ctx.dt);
     record_velocity_lambda(lambda);
-    auto xu = dirichlet_x(opts_.velocity_bc,
-                          [&](double x, double y) { return opts_.u_bc(x, y, tn1); });
-    auto xv = dirichlet_x(opts_.velocity_bc,
-                          [&](double x, double y) { return opts_.v_bc(x, y, tn1); });
-    pcg_solve(lambda, vel_dirichlet_, urhs_, xu);
-    pcg_solve(lambda, vel_dirichlet_, vrhs_, xv);
+    const HelmholtzPCG solver = make_solver(lambda, opts_.velocity_bc);
+    u_modal_ = solver.solve_global(
+        std::move(urhs_),
+        solver.dirichlet_vector([&](double x, double y) { return opts_.u_bc(x, y, tn1); }));
+    last_u_iters_ = solver.last_iterations();
+    v_modal_ = solver.solve_global(
+        std::move(vrhs_),
+        solver.dirichlet_vector([&](double x, double y) { return opts_.v_bc(x, y, tn1); }));
+    last_v_iters_ = solver.last_iterations();
     if (comm_) comm_->set_stage(-1);
-    disc_->scatter(xu, u_modal_);
-    disc_->scatter(xv, v_modal_);
 }
 
 void AleNS2d::end_step(const StepContext&) {

@@ -64,6 +64,10 @@ public:
 
     /// PCG iterations of the last pressure solve (diagnostics).
     [[nodiscard]] std::size_t last_pressure_iterations() const noexcept { return last_p_iters_; }
+    /// PCG iterations of the last step's mesh-velocity, u and v solves.
+    [[nodiscard]] std::size_t last_mesh_iterations() const noexcept { return last_w_iters_; }
+    [[nodiscard]] std::size_t last_u_iterations() const noexcept { return last_u_iters_; }
+    [[nodiscard]] std::size_t last_v_iterations() const noexcept { return last_v_iters_; }
 
 protected:
     /// ALE extras ahead of the splitting stages: the mesh-velocity Helmholtz
@@ -94,16 +98,12 @@ private:
                     const std::function<double(double, double)>& v0);
     /// ALE nonlinear terms with advecting velocity (u, v - w_mesh).
     void nonlinear(std::vector<std::vector<double>>& nl) const;
-    /// Distributed (or serial) diagonally preconditioned CG solve of
-    /// (L + lambda M) x = rhs with Dirichlet data already in x.
-    std::size_t pcg_solve(double lambda, const std::vector<char>& dirichlet,
-                          std::span<const double> rhs, std::span<double> x) const;
-    void apply_operator(double lambda, std::span<const double> x, std::span<double> y) const;
-    [[nodiscard]] double global_dot(std::span<const double> a, std::span<const double> b) const;
+    /// A condensed PCG solver on the current discretization, wired to this
+    /// rank's gather-scatter and allreduce when running in parallel.  Build
+    /// one per solve stage: none outlives a rebuild_discretization().
+    [[nodiscard]] HelmholtzPCG make_solver(double lambda, const HelmholtzBC& bc) const;
+    /// This rank's unassembled weak RHS (the solver assembles it).
     std::vector<double> weak_rhs(std::span<const double> quad) const;
-    void gs_assemble(std::span<double> global) const;
-    [[nodiscard]] std::vector<double> dirichlet_x(
-        const HelmholtzBC& bc, const std::function<double(double, double)>& g) const;
 
     AleOptions opts_;
     simmpi::Comm* comm_;
@@ -113,13 +113,12 @@ private:
     std::shared_ptr<const Discretization> disc_;
     std::unique_ptr<gs::GatherScatter> gs_;
     std::vector<double> dot_weights_;      ///< 1/multiplicity per local dof
-    std::vector<char> vel_dirichlet_, p_dirichlet_, mesh_dirichlet_;
 
     std::vector<double> u_modal_, v_modal_, p_modal_;
     std::vector<double> uq_, vq_, wq_;
     // Inter-stage scratch of the current step (RHS vectors in global dofs).
     std::vector<double> prhs_, urhs_, vrhs_;
-    mutable std::size_t last_p_iters_ = 0;
+    std::size_t last_p_iters_ = 0, last_w_iters_ = 0, last_u_iters_ = 0, last_v_iters_ = 0;
 };
 
 } // namespace nektar

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 #include "mesh/generators.hpp"
 #include "partition/partition.hpp"
@@ -167,11 +168,100 @@ TEST(AleNS, StageBreakdownWeightsOnSolves) {
     EXPECT_GT(solves, total.flops / 2) << "PCG solves must dominate the ALE step";
 }
 
+AleOptions flapping_options() {
+    AleOptions opts;
+    opts.dt = 2e-3;
+    opts.viscosity = 0.05;
+    opts.body_velocity = [](double t) { return 0.3 * std::sin(5.0 * t); };
+    opts.u_bc = [](double x, double y, double) {
+        const bool body = std::abs(x) <= 0.5 + 1e-6 && std::abs(y) <= 0.5 + 1e-6;
+        return body ? 0.0 : 1.0;
+    };
+    opts.v_bc = [&opts](double x, double y, double t) {
+        const bool body = std::abs(x) <= 0.5 + 1e-6 && std::abs(y) <= 0.5 + 1e-6;
+        return body ? opts.body_velocity(t) : 0.0;
+    };
+    return opts;
+}
+
+std::uint64_t allreduce_count(const simmpi::CommLog& log) {
+    std::uint64_t n = 0;
+    for (const auto& [stage, events] : log)
+        for (const auto& [key, count] : events)
+            if (key.kind == simmpi::CommKind::Allreduce) n += count;
+    return n;
+}
+
+TEST(AleNS, ParallelStepIssuesTwoAllreducesPerCgIteration) {
+    // One step runs four condensed PCG solves (mesh velocity, pressure, u,
+    // v); a solve of k iterations costs 1 + 2k allreduces.  The bound is the
+    // measured count (494 for 245 iterations) with margin; uncondensed PCG
+    // with three reductions per iteration issued 1282 here.  Condensation
+    // is what cuts the mass-dominated velocity solves: u + v took 286
+    // iterations uncondensed and take 129 condensed.
+    const auto m = flap_mesh();
+    AleOptions opts = flapping_options();
+    partition::Graph g;
+    m.dual_graph(g.xadj, g.adjncy);
+    const auto part = partition::partition_graph(g, 2);
+    simmpi::World world(2, test_net());
+    std::uint64_t allreduces = 0, iterations = 0, velocity_iterations = 0;
+    world.run([&](simmpi::Comm& c) {
+        AleNS2d ns(m, 3, opts, &c, &part);
+        ns.set_initial([](double, double) { return 1.0; }, [](double, double) { return 0.0; });
+        ns.step();
+        ns.step();
+        const std::uint64_t before = allreduce_count(c.log());
+        ns.step();
+        if (c.rank() != 0) return;
+        allreduces = allreduce_count(c.log()) - before;
+        iterations = ns.last_mesh_iterations() + ns.last_pressure_iterations() +
+                     ns.last_u_iterations() + ns.last_v_iterations();
+        velocity_iterations = ns.last_u_iterations() + ns.last_v_iterations();
+    });
+    EXPECT_EQ(allreduces, 4 + 2 * iterations);
+    EXPECT_LT(allreduces, 750u);
+    EXPECT_LT(velocity_iterations, 180u);
+}
+
+TEST(AleNS, UnconvergedSolveThrows) {
+    // Both an iteration cap that stops CG early and a tolerance no residual
+    // reaches must throw; neither result may be accepted quietly.
+    for (const la::CgOptions cg : {la::CgOptions{.max_iterations = 1, .tolerance = 1e-9},
+                                   la::CgOptions{.max_iterations = 2000, .tolerance = 0.0}}) {
+        AleOptions opts = flapping_options();
+        opts.cg = cg;
+        AleNS2d ns(flap_mesh(), 3, opts);
+        ns.set_initial([](double, double) { return 1.0; }, [](double, double) { return 0.0; });
+        EXPECT_THROW(
+            {
+                ns.step();
+                ns.step();
+            },
+            std::runtime_error)
+            << "max_iterations " << cg.max_iterations << ", tolerance " << cg.tolerance;
+    }
+}
+
 TEST(AleNS, ParallelRunNeedsPartition) {
     simmpi::World world(2, test_net());
     EXPECT_THROW(world.run([&](simmpi::Comm& c) {
         AleOptions opts;
         AleNS2d ns(flap_mesh(), 3, opts, &c, nullptr);
+    }),
+                 std::invalid_argument);
+}
+
+TEST(AleNS, ParallelRunRejectsAPerRankPressurePin) {
+    const auto m = flap_mesh();
+    partition::Graph g;
+    m.dual_graph(g.xadj, g.adjncy);
+    const auto part = partition::partition_graph(g, 2);
+    simmpi::World world(2, test_net());
+    EXPECT_THROW(world.run([&](simmpi::Comm& c) {
+        AleOptions opts;
+        opts.pressure_bc = {.dirichlet = {}, .pin_first_dof = true};
+        AleNS2d ns(m, 3, opts, &c, &part);
     }),
                  std::invalid_argument);
 }

@@ -1,13 +1,16 @@
-// The statically condensed direct Helmholtz solver against an independent
-// dense reference: the full (uncondensed) global system assembled here from
-// the elemental Laplacian and mass matrices through the dof map, solved by
-// dense Cholesky.
+// The statically condensed Helmholtz solvers, direct and PCG, against an
+// independent dense reference: the full (uncondensed) global system
+// assembled here from the elemental Laplacian and mass matrices through the
+// dof map, solved by dense Cholesky.
 #include "nektar/helmholtz.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "blaslite/counters.hpp"
 #include "la/dense.hpp"
@@ -18,6 +21,11 @@ namespace {
 using nektar::Discretization;
 using nektar::HelmholtzBC;
 using nektar::HelmholtzDirect;
+using nektar::HelmholtzPCG;
+
+/// Absolute CG tolerance of the PCG cases: tight enough that the solution
+/// matches the dense reference to 1e-9.
+constexpr double kPcgTolerance = 1e-12;
 
 std::shared_ptr<Discretization> disc_for(mesh::Mesh m, std::size_t order) {
     return std::make_shared<Discretization>(std::make_shared<mesh::Mesh>(std::move(m)), order);
@@ -107,14 +115,56 @@ int pinned_dof(const Discretization& disc) {
     return disc.dofmap().element_map(0)[disc.ops(0).expansion().vertex_mode(0)].global;
 }
 
+/// Global-numbered values of a modal field (each dof read from any element
+/// that holds it).
+std::vector<double> modal_to_global(const Discretization& disc, const std::vector<double>& modal) {
+    std::vector<double> u(disc.dofmap().num_global(), 0.0);
+    for (std::size_t e = 0; e < disc.num_elements(); ++e) {
+        const auto& map = disc.dofmap().element_map(e);
+        for (std::size_t i = 0; i < map.size(); ++i)
+            u[static_cast<std::size_t>(map[i].global)] =
+                map[i].sign * modal[disc.modal_offset(e) + i];
+    }
+    return u;
+}
+
+template <class Solver>
+Solver make_solver(const std::shared_ptr<Discretization>& disc, double lambda, HelmholtzBC bc) {
+    if constexpr (std::is_same_v<Solver, HelmholtzPCG>)
+        return HelmholtzPCG(disc, lambda, std::move(bc),
+                            {.max_iterations = 5000, .tolerance = kPcgTolerance});
+    else
+        return HelmholtzDirect(disc, lambda, std::move(bc));
+}
+
+/// For the PCG solver: the full, uncondensed system's residual b - H u over
+/// the free dofs stays within the CG tolerance after back-substitution.
+template <class Solver>
+void expect_full_residual_within_tolerance(const Solver& solver, const std::vector<double>& rhs,
+                                           const std::vector<double>& u_modal) {
+    if constexpr (std::is_same_v<Solver, HelmholtzPCG>) {
+        const Discretization& disc = solver.disc();
+        const auto u = modal_to_global(disc, u_modal);
+        std::vector<double> hu(u.size());
+        solver.apply(u, hu);
+        std::vector<char> fixed(u.size(), 0);
+        for (int d : solver.dirichlet_dofs()) fixed[static_cast<std::size_t>(d)] = 1;
+        double rr = 0.0;
+        for (std::size_t i = 0; i < u.size(); ++i)
+            if (!fixed[i]) rr += (rhs[i] - hu[i]) * (rhs[i] - hu[i]);
+        EXPECT_LE(std::sqrt(rr), kPcgTolerance);
+    }
+}
+
 /// Non-homogeneous Dirichlet data on the Wall edges, a pinned all-Neumann
 /// Poisson problem, and an unpinned all-Neumann Helmholtz problem, each
 /// against the dense reference.
+template <class Solver>
 void expect_matches_dense_reference(const std::shared_ptr<Discretization>& disc) {
     const auto f = [](double x, double y) { return std::exp(x) * (1.0 + y); };
     {
         const HelmholtzBC bc{.dirichlet = {mesh::BoundaryTag::Wall}};
-        const HelmholtzDirect solver(disc, 2.0, bc);
+        const Solver solver = make_solver<Solver>(disc, 2.0, bc);
         const auto g = [](double x, double y) { return 0.25 * x - 0.5 * y + x * y; };
         const auto fixed = disc->dofmap().dirichlet_values(
             [](mesh::BoundaryTag t) { return t == mesh::BoundaryTag::Wall; }, g);
@@ -122,9 +172,11 @@ void expect_matches_dense_reference(const std::shared_ptr<Discretization>& disc)
         const auto u = solver.solve_global(assembled_rhs(*disc, f), solver.dirichlet_vector(g));
         EXPECT_LT(max_diff(u, dense_reference(*disc, 2.0, assembled_rhs(*disc, f), fixed)), 1e-9)
             << "Dirichlet";
+        expect_full_residual_within_tolerance(solver, assembled_rhs(*disc, f), u);
     }
     {
-        const HelmholtzDirect solver(disc, 0.0, {.dirichlet = {}, .pin_first_dof = true});
+        const Solver solver =
+            make_solver<Solver>(disc, 0.0, {.dirichlet = {}, .pin_first_dof = true});
         ASSERT_EQ(solver.dirichlet_dofs(), std::vector<int>{pinned_dof(*disc)});
         const auto fp = [](double x, double y) {
             return std::cos(std::numbers::pi * x) * std::cos(std::numbers::pi * y);
@@ -136,15 +188,17 @@ void expect_matches_dense_reference(const std::shared_ptr<Discretization>& disc)
                                               {{pinned_dof(*disc), 0.0}})),
                   1e-9)
             << "pinned all-Neumann";
+        expect_full_residual_within_tolerance(solver, assembled_rhs(*disc, fp), u);
     }
     {
-        const HelmholtzDirect solver(disc, 3.0, {});
+        const Solver solver = make_solver<Solver>(disc, 3.0, {});
         EXPECT_TRUE(solver.dirichlet_dofs().empty());
         const auto u = solver.solve_global(
             assembled_rhs(*disc, f),
             std::vector<double>(disc->dofmap().num_global(), 0.0));
         EXPECT_LT(max_diff(u, dense_reference(*disc, 3.0, assembled_rhs(*disc, f), {})), 1e-9)
             << "all-Neumann";
+        expect_full_residual_within_tolerance(solver, assembled_rhs(*disc, f), u);
     }
 }
 
@@ -156,7 +210,18 @@ TEST_P(CondensedOrders, MatchesFullDirectSolve) {
                   : mesh::rectangle_quads(3, 3, 0.0, 1.0, 0.0, 1.0);
     m.tag_boundary(mesh::BoundaryTag::Wall, [](double, double) { return true; });
     SCOPED_TRACE("P=" + std::to_string(p) + " tris=" + std::to_string(tris));
-    expect_matches_dense_reference(disc_for(std::move(m), static_cast<std::size_t>(p)));
+    expect_matches_dense_reference<HelmholtzDirect>(
+        disc_for(std::move(m), static_cast<std::size_t>(p)));
+}
+
+TEST_P(CondensedOrders, PcgMatchesFullDirectSolve) {
+    const auto [p, tris] = GetParam();
+    auto m = tris ? mesh::rectangle_tris(3, 3, 0.0, 1.0, 0.0, 1.0)
+                  : mesh::rectangle_quads(3, 3, 0.0, 1.0, 0.0, 1.0);
+    m.tag_boundary(mesh::BoundaryTag::Wall, [](double, double) { return true; });
+    SCOPED_TRACE("P=" + std::to_string(p) + " tris=" + std::to_string(tris));
+    expect_matches_dense_reference<HelmholtzPCG>(
+        disc_for(std::move(m), static_cast<std::size_t>(p)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Meshes, CondensedOrders,
@@ -171,7 +236,15 @@ TEST_P(CondensedHybridOrders, MatchesFullDirectSolve) {
     const auto disc = disc_for(std::move(m), static_cast<std::size_t>(GetParam()));
     ASSERT_EQ(disc->groups().size(), 2u);
     ASSERT_FALSE(disc->groups().front().contiguous);
-    expect_matches_dense_reference(disc);
+    expect_matches_dense_reference<HelmholtzDirect>(disc);
+}
+
+TEST_P(CondensedHybridOrders, PcgMatchesFullDirectSolve) {
+    auto m = hybrid_strip();
+    m.tag_boundary(mesh::BoundaryTag::Wall, [](double, double) { return true; });
+    const auto disc = disc_for(std::move(m), static_cast<std::size_t>(GetParam()));
+    ASSERT_FALSE(disc->groups().front().contiguous);
+    expect_matches_dense_reference<HelmholtzPCG>(disc);
 }
 
 INSTANTIATE_TEST_SUITE_P(Hybrid, CondensedHybridOrders, ::testing::Range(1, 9));
@@ -281,6 +354,22 @@ TEST(Condensed, FactorBytesCountsTheBandAndTheClassMatrices) {
     EXPECT_EQ(solver.factor_bytes(), (band + 16 * 4 + 4 * 12) * sizeof(double));
     EXPECT_EQ(solver.bandwidth(), 21u);
     EXPECT_EQ(solver.factor_bytes(), 6704u);
+}
+
+TEST(CondensedPcg, ThrowsWithItsResidualWhenCgStopsShort) {
+    const auto disc = disc_for(tagged_square_quads(3), 5);
+    const HelmholtzPCG solver(disc, 1.0, {.dirichlet = {mesh::BoundaryTag::Wall}},
+                              {.max_iterations = 1, .tolerance = 1e-12});
+    std::vector<double> f(disc->quad_size(), 1.0);
+    try {
+        (void)solver.solve(f);
+        FAIL() << "an unconverged solve must throw";
+    } catch (const std::runtime_error& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("1 iterations"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("residual"), std::string::npos) << msg;
+    }
+    EXPECT_EQ(solver.last_iterations(), 1u);
 }
 
 } // namespace
