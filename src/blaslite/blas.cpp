@@ -300,7 +300,68 @@ void dgemm_packed(double alpha, const double* a, std::size_t lda, const double* 
     kernel_rows(alpha, a, lda, bp, beta, c, ldc, m, n, k);
 }
 
+/// Rows [r0, r0 + MB kNR) of one element's gather_gemm_scatter: MB
+/// kNR-wide accumulators, one broadcast-FMA per column and accumulator (the
+/// micro_kernel body with the gathered x as its A row), then the signed
+/// scatter-add of the rows below n.
+template <std::size_t MB>
+[[gnu::always_inline]] inline void gather_gemm_scatter_rows(const double* a, std::size_t ld,
+                                                            std::size_t n, std::size_t r0,
+                                                            const int* slot, const double* sign,
+                                                            const double* p,
+                                                            double* q) noexcept {
+    const std::size_t rows = std::min(MB * kNR, n - r0);
+#if defined(__GNUC__) || defined(__clang__)
+    PanelVec acc[MB] = {};
+    for (std::size_t c = 0; c < n; ++c) {
+        const double xc = sign[c] * p[slot[c]];
+        const double* col = a + c * ld + r0;
+        for (std::size_t b = 0; b < MB; ++b)
+            acc[b] += xc * *reinterpret_cast<const PanelVec*>(col + b * kNR);
+    }
+    for (std::size_t i = 0; i < rows; ++i)
+        q[slot[r0 + i]] += sign[r0 + i] * acc[i / kNR][i % kNR];
+#else
+    double acc[MB * kNR] = {};
+    for (std::size_t c = 0; c < n; ++c) {
+        const double xc = sign[c] * p[slot[c]];
+        const double* col = a + c * ld + r0;
+        for (std::size_t i = 0; i < MB * kNR; ++i) acc[i] += xc * col[i];
+    }
+    for (std::size_t i = 0; i < rows; ++i) q[slot[r0 + i]] += sign[r0 + i] * acc[i];
+#endif
+}
+
 } // namespace
+
+std::size_t padded_ld(std::size_t n) noexcept { return (n + kNR - 1) / kNR * kNR; }
+
+REPRO_MULTIVERSION
+void gather_gemm_scatter(const double* a, std::size_t n, std::size_t count, const int* slot,
+                         const double* sign, const double* p, double* q,
+                         bool per_element_gemv) noexcept {
+    if (per_element_gemv) {
+        for (std::size_t e = 0; e < count; ++e)
+            detail::charge(2 * n * n + 3 * n, (n * n + 2 * n) * kDouble, n * kDouble);
+    } else {
+        detail::charge(2 * count * n * n + count * n, (2 * count * n + n * n) * kDouble,
+                       count * n * kDouble);
+    }
+    const std::size_t ld = padded_ld(n);
+    // Up to four accumulators stay in registers; taller blocks take several
+    // passes over the columns, each scattering its rows before the next.
+    constexpr std::size_t kChunk = 4 * kNR;
+    for (std::size_t e = 0; e < count; ++e, slot += n, sign += n) {
+        for (std::size_t r0 = 0; r0 < n; r0 += kChunk) {
+            switch ((std::min(kChunk, n - r0) + kNR - 1) / kNR) {
+                case 1: gather_gemm_scatter_rows<1>(a, ld, n, r0, slot, sign, p, q); break;
+                case 2: gather_gemm_scatter_rows<2>(a, ld, n, r0, slot, sign, p, q); break;
+                case 3: gather_gemm_scatter_rows<3>(a, ld, n, r0, slot, sign, p, q); break;
+                default: gather_gemm_scatter_rows<4>(a, ld, n, r0, slot, sign, p, q); break;
+            }
+        }
+    }
+}
 
 void dgemm(double alpha, const double* a, std::size_t lda, const double* b, std::size_t ldb,
            double beta, double* c, std::size_t ldc, std::size_t m, std::size_t n,

@@ -106,6 +106,24 @@ void dgemm_batch_same_b(double alpha, std::span<const GemmBatchItem> items, std:
                         const double* b, std::size_t ldb, std::size_t ldc, std::size_t m,
                         std::size_t n, std::size_t k, double beta) noexcept;
 
+/// Leading dimension of a block gather_gemm_scatter reads: n rounded up to
+/// the kernel's vector width.
+[[nodiscard]] std::size_t padded_ld(std::size_t n) noexcept;
+
+/// Fused gather / elemental product / scatter-add over `count` elements
+/// sharing the n-by-n block A (column-major, ld = padded_ld(n), rows n..ld-1
+/// zero): the condensed operator of a matrix-free CG.  Element j owns the
+/// n entries of `slot` and `sign` starting at j n, and in element order
+///   x_i = sign_i p[slot_i],   y = A x,   q[slot_i] += sign_i y_i  (i ascending).
+/// Each y_i accumulates A's columns in ascending order from 0, exactly as
+/// dgemm_cm does, so the result is bit-identical to scattering p into
+/// panels, one dgemm_cm over the elements and gathering back.  Charged as
+/// that dgemm_cm (m = k = n, `count` columns) or, with `per_element_gemv`,
+/// as one dgemv of A per element.  p and q must not overlap.
+void gather_gemm_scatter(const double* a, std::size_t n, std::size_t count, const int* slot,
+                         const double* sign, const double* p, double* q,
+                         bool per_element_gemv = false) noexcept;
+
 /// Infinity norm of x - y; handy for tests.
 [[nodiscard]] double max_abs_diff(std::span<const double> x, std::span<const double> y) noexcept;
 

@@ -79,14 +79,17 @@ std::vector<int> boundary_rcm(const std::vector<std::vector<int>>& elem_bdofs,
 
 HelmholtzCondensation::ClassCondensation HelmholtzCondensation::condense(const ElemMatrices& mats,
                                                              std::size_t nmb, double lambda,
-                                                             la::DenseMatrix& schur) {
+                                                             double* schur_cm,
+                                                             std::size_t ld) {
     const std::size_t nm = mats.lap.rows();
     const std::size_t ni = nm - nmb;
     const auto a = [&](std::size_t i, std::size_t j) {
         return mats.lap(i, j) + lambda * mats.mass(i, j);
     };
-    ClassCondensation c{.nm = nm, .ni = ni, .fwd = {}, .x = {}};
-    schur = la::DenseMatrix(nmb, nmb);
+    const auto schur = [&](std::size_t i, std::size_t j) -> double& {
+        return schur_cm[i + j * ld];
+    };
+    ClassCondensation c{.nm = nm, .ni = ni, .schur = 0, .fwd = {}, .x = {}};
     for (std::size_t i = 0; i < nmb; ++i)
         for (std::size_t j = 0; j < nmb; ++j) schur(i, j) = a(i, j);
     if (ni == 0) return c;
@@ -130,21 +133,28 @@ HelmholtzCondensation::HelmholtzCondensation(std::shared_ptr<const Discretizatio
     : disc_(std::move(disc)), lambda_(lambda), bc_(std::move(bc)) {
     dirichlet_dofs_ = dirichlet_dof_list(*disc_, bc_);
 
-    // Condense every matrix class once.
+    // Number the matrix classes, then condense each once into the slab.
     std::map<const ElemMatrices*, std::size_t> class_of;
+    std::vector<std::pair<const ElemMatrices*, std::size_t>> class_mats; // (mats, nmb)
     elem_class_.resize(disc_->num_elements());
     for (const ElemGroup& g : disc_->groups()) {
         for (const ElemGroup::MatrixRun& run : g.runs) {
-            const auto [it, fresh] = class_of.emplace(run.mats, classes_.size());
-            if (fresh) {
-                la::DenseMatrix s;
-                classes_.push_back(condense(*run.mats, g.exp->num_boundary_modes(), lambda_, s));
-                schur_.push_back(std::move(s));
-            }
+            const auto [it, fresh] = class_of.emplace(run.mats, class_mats.size());
+            if (fresh) class_mats.emplace_back(run.mats, g.exp->num_boundary_modes());
             run_class_.push_back(it->second);
             for (std::size_t j = 0; j < run.count; ++j)
                 elem_class_[g.elems[run.first + j]] = it->second;
         }
+    }
+    std::size_t slab = 0;
+    for (const auto& [mats, nmb] : class_mats) slab += blaslite::padded_ld(nmb) * nmb;
+    schur_.assign(slab, 0.0);
+    slab = 0;
+    for (const auto& [mats, nmb] : class_mats) {
+        const std::size_t ld = blaslite::padded_ld(nmb);
+        classes_.push_back(condense(*mats, nmb, lambda_, schur_.data() + slab, ld));
+        classes_.back().schur = slab;
+        slab += ld * nmb;
     }
 
     // Boundary dofs: every element's vertex and edge modes, in global order.
@@ -276,19 +286,21 @@ HelmholtzDirect::HelmholtzDirect(std::shared_ptr<const Discretization> disc, dou
     // kept of them.
     la::SymBandedMatrix h(nb, kd);
     for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const la::DenseMatrix& s = schur_[elem_class_[e]];
+        const ClassCondensation& c = classes_[elem_class_[e]];
+        const std::size_t nmb = c.nm - c.ni, ld = blaslite::padded_ld(nmb);
+        const double* s = schur_.data() + c.schur;
         const auto& map = dm.element_map(e);
-        for (std::size_t i = 0; i < s.rows(); ++i) {
+        for (std::size_t i = 0; i < nmb; ++i) {
             const auto ci = static_cast<std::size_t>(cidx[static_cast<std::size_t>(map[i].global)]);
             for (std::size_t j = 0; j <= i; ++j) {
                 const auto cj =
                     static_cast<std::size_t>(cidx[static_cast<std::size_t>(map[j].global)]);
-                const double v = map[i].sign * map[j].sign * s(i, j);
+                const double v = map[i].sign * map[j].sign * s[i + j * ld];
                 h.add(ci, cj, (ci == cj && i != j) ? 2.0 * v : v);
             }
         }
     }
-    schur_ = {};
+    schur_ = std::vector<double>();
 
     // Record Dirichlet columns for RHS lifting, then reduce the system to the
     // identity on constrained dofs.
@@ -358,9 +370,13 @@ HelmholtzPCG::HelmholtzPCG(std::shared_ptr<const Discretization> disc, double la
       opts_(opts),
       hooks_(std::move(hooks)) {
     // S is applied as a column-major operand: make it exactly symmetric.
-    for (la::DenseMatrix& s : schur_)
-        for (std::size_t i = 0; i < s.rows(); ++i)
-            for (std::size_t j = 0; j < i; ++j) s(i, j) = s(j, i) = 0.5 * (s(i, j) + s(j, i));
+    for (const ClassCondensation& c : classes_) {
+        const std::size_t nmb = c.nm - c.ni, ld = blaslite::padded_ld(nmb);
+        double* s = schur_.data() + c.schur;
+        for (std::size_t i = 0; i < nmb; ++i)
+            for (std::size_t j = 0; j < i; ++j)
+                s[i + j * ld] = s[j + i * ld] = 0.5 * (s[i + j * ld] + s[j + i * ld]);
+    }
 
     // Element boundary modes -> condensed dofs, and the assembled diag(S)
     // (signs square away).
@@ -368,18 +384,21 @@ HelmholtzPCG::HelmholtzPCG(std::shared_ptr<const Discretization> disc, double la
     const std::vector<int> cidx = condensed_index();
     const std::size_t nb = bdof_.size();
     std::vector<double> diag(nb, 0.0);
-    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const la::DenseMatrix& s = schur_[elem_class_[e]];
-        const auto& map = dm.element_map(e);
-        for (std::size_t i = 0; i < s.rows(); ++i) {
-            const int c = cidx[static_cast<std::size_t>(map[i].global)];
-            slot_.push_back(c);
-            slot_sign_.push_back(map[i].sign);
-            diag[static_cast<std::size_t>(c)] += s(i, i);
+    for_each_run([&](const ElemGroup& g, const ElemGroup::MatrixRun& run, std::size_t k) {
+        const std::size_t nmb = classes_[k].nm - classes_[k].ni, ld = blaslite::padded_ld(nmb);
+        const double* s = schur_.data() + classes_[k].schur;
+        for (std::size_t j = 0; j < run.count; ++j) {
+            const auto& map = dm.element_map(g.elems[run.first + j]);
+            for (std::size_t i = 0; i < nmb; ++i) {
+                const int c = cidx[static_cast<std::size_t>(map[i].global)];
+                slot_.push_back(c);
+                slot_sign_.push_back(map[i].sign);
+                diag[static_cast<std::size_t>(c)] += s[i + i * ld];
+            }
         }
-    }
-    Work work;
-    assemble_condensed(diag, work);
+    });
+    std::vector<double> global;
+    assemble_condensed(diag, global);
     inv_diag_.resize(nb);
     for (std::size_t k = 0; k < nb; ++k) inv_diag_[k] = 1.0 / diag[k];
     for (int d : dirichlet_dofs_)
@@ -393,51 +412,28 @@ HelmholtzPCG::HelmholtzPCG(std::shared_ptr<const Discretization> disc, double la
     }
 }
 
-void HelmholtzPCG::assemble_condensed(std::span<double> v, Work& work) const {
+void HelmholtzPCG::assemble_condensed(std::span<double> v, std::vector<double>& global) const {
     if (!hooks_.assemble) return;
-    work.global.resize(disc_->dofmap().num_global());
-    for (std::size_t k = 0; k < v.size(); ++k)
-        work.global[static_cast<std::size_t>(bdof_[k])] = v[k];
-    hooks_.assemble(work.global);
-    for (std::size_t k = 0; k < v.size(); ++k)
-        v[k] = work.global[static_cast<std::size_t>(bdof_[k])];
+    global.resize(disc_->dofmap().num_global());
+    for (std::size_t k = 0; k < v.size(); ++k) global[static_cast<std::size_t>(bdof_[k])] = v[k];
+    hooks_.assemble(global);
+    for (std::size_t k = 0; k < v.size(); ++k) v[k] = global[static_cast<std::size_t>(bdof_[k])];
 }
 
 void HelmholtzPCG::apply_condensed(std::span<const double> p, std::span<double> ap,
-                                   Work& work) const {
-    // Scatter p to the elements' boundary rows, apply S per run, gather.
-    double* xl = work.xl.data();
-    double* yl = work.yl.data();
-    std::size_t slot = 0;
-    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const std::size_t off = disc_->modal_offset(e);
-        const std::size_t nmb = schur_[elem_class_[e]].rows();
-        for (std::size_t i = 0; i < nmb; ++i, ++slot)
-            xl[off + i] = slot_sign_[slot] * p[static_cast<std::size_t>(slot_[slot])];
-    }
-    for_each_run([&](const ElemGroup& g, const ElemGroup::MatrixRun& run, std::size_t k) {
-        const la::DenseMatrix& s = schur_[k];
-        const std::size_t nm = classes_[k].nm, nmb = s.rows();
-        if (g.contiguous) {
-            const std::size_t off = disc_->modal_offset(g.elems[run.first]);
-            blaslite::dgemm_cm(1.0, s.data(), nmb, xl + off, nm, 0.0, yl + off, nm, nmb,
-                               run.count, nmb);
-        } else {
-            for (std::size_t j = 0; j < run.count; ++j) {
-                const std::size_t off = disc_->modal_offset(g.elems[run.first + j]);
-                blaslite::dgemv(1.0, s.data(), nmb, nmb, nmb, xl + off, 0.0, yl + off);
-            }
-        }
-    });
+                                   std::vector<double>& global) const {
     std::fill(ap.begin(), ap.end(), 0.0);
-    slot = 0;
-    for (std::size_t e = 0; e < disc_->num_elements(); ++e) {
-        const std::size_t off = disc_->modal_offset(e);
-        const std::size_t nmb = schur_[elem_class_[e]].rows();
-        for (std::size_t i = 0; i < nmb; ++i, ++slot)
-            ap[static_cast<std::size_t>(slot_[slot])] += slot_sign_[slot] * yl[off + i];
-    }
-    assemble_condensed(ap, work);
+    std::size_t slot = 0;
+    for_each_run([&](const ElemGroup& g, const ElemGroup::MatrixRun& run, std::size_t k) {
+        const std::size_t nmb = classes_[k].nm - classes_[k].ni;
+        // Op counts are the unfused operator's: one dgemm_cm per contiguous
+        // run, one dgemv per element of a scattered group.
+        blaslite::gather_gemm_scatter(schur_.data() + classes_[k].schur, nmb, run.count,
+                                      slot_.data() + slot, slot_sign_.data() + slot, p.data(),
+                                      ap.data(), !g.contiguous);
+        slot += nmb * run.count;
+    });
+    assemble_condensed(ap, global);
     for (std::size_t k : fixed_) ap[k] = p[k];
 }
 
@@ -486,16 +482,15 @@ std::vector<double> HelmholtzPCG::solve_global(std::vector<double> rhs,
     // The condensed system on the boundary dofs; Dirichlet rows are the
     // identity, so u starts from (and keeps) the boundary values there.
     const std::size_t nb = bdof_.size();
-    Work work{.xl = std::vector<double>(w.size()), .yl = std::vector<double>(w.size()),
-              .global = {}};
+    std::vector<double> global;
     std::vector<double> b(nb), u(nb, 0.0);
     for (std::size_t k = 0; k < nb; ++k) b[k] = rhs[static_cast<std::size_t>(bdof_[k])];
-    assemble_condensed(b, work);
+    assemble_condensed(b, global);
     for (std::size_t k : fixed_) b[k] = u[k] = dirichlet[static_cast<std::size_t>(bdof_[k])];
 
     const la::CgResult res = la::pcg(
         [&](std::span<const double> in, std::span<double> out) {
-            apply_condensed(in, out, work);
+            apply_condensed(in, out, global);
         },
         inv_diag_, b, u, opts_, dot_weights_,
         [&](std::span<double> v) {

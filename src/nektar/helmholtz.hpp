@@ -73,14 +73,16 @@ protected:
     struct ClassCondensation {
         std::size_t nm = 0; ///< modes per element
         std::size_t ni = 0; ///< interior modes (the last ni of nm)
+        std::size_t schur = 0; ///< offset of the class's S in schur_
         std::vector<double> fwd; ///< nm x ni: [-X^T; A_ii^{-1}]
         std::vector<double> x;   ///< ni x nmb: X = A_ii^{-1} A_ib
     };
 
     /// Condenses the class with elemental matrices `mats` and `nmb` boundary
-    /// modes; its Schur block S goes to `schur` (row-major nmb x nmb).
+    /// modes; its Schur block S goes to `schur`, column-major with leading
+    /// dimension `ld`.
     static ClassCondensation condense(const ElemMatrices& mats, std::size_t nmb,
-                                      double lambda, la::DenseMatrix& schur);
+                                      double lambda, double* schur, std::size_t ld);
     /// Global dof -> index in bdof_ (-1 for interior dofs).
     [[nodiscard]] std::vector<int> condensed_index() const;
     /// Forward elimination: w = [-X^T f_i; A_ii^{-1} f_i] per element, then
@@ -110,8 +112,10 @@ protected:
     std::vector<std::size_t> run_class_;
     /// Class of every element.
     std::vector<std::size_t> elem_class_;
-    /// Schur block S of every class (row-major nmb x nmb).
-    std::vector<la::DenseMatrix> schur_;
+    /// Schur block S of every class, column-major with leading dimension
+    /// blaslite::padded_ld(nmb) and zero padding rows, at
+    /// ClassCondensation::schur: the slab the PCG's fused apply reads.
+    std::vector<double> schur_;
     /// Condensed index -> global dof.
     std::vector<int> bdof_;
 };
@@ -156,10 +160,11 @@ private:
 };
 
 /// Jacobi PCG on the condensed system.  Each iteration applies the signed
-/// Schur blocks with one dgemm_cm per contiguous congruent run (one dgemv
-/// per element otherwise), preconditioned by the assembled diag(S); the
-/// interiors are back-substituted once CG stops.  The CG residual is the
-/// full system's: back-substitution satisfies the interior rows exactly.
+/// Schur blocks in one pass over the elements (blaslite's fused
+/// gather_gemm_scatter, one call per congruent run), preconditioned by the
+/// assembled diag(S); the interiors are back-substituted once CG stops.
+/// The CG residual is the full system's: back-substitution satisfies the
+/// interior rows exactly.
 class HelmholtzPCG : public HelmholtzCondensation {
 public:
     /// How a distributed solve reaches the other ranks.  A serial solve
@@ -202,20 +207,17 @@ public:
     void apply(std::span<const double> x, std::span<double> y) const;
 
 private:
-    /// Per-solve buffers of the condensed operator.
-    struct Work {
-        std::vector<double> xl, yl; ///< modal layout, boundary rows only
-        std::vector<double> global; ///< assemble hook staging (parallel only)
-    };
     /// ap = S p on the condensed dofs, assembled; identity on Dirichlet dofs.
-    void apply_condensed(std::span<const double> p, std::span<double> ap, Work& work) const;
+    /// `global` stages the assemble hook's global-length vector.
+    void apply_condensed(std::span<const double> p, std::span<double> ap,
+                         std::vector<double>& global) const;
     /// Sums v over the ranks through the assemble hook (no-op without one).
-    void assemble_condensed(std::span<double> v, Work& work) const;
+    void assemble_condensed(std::span<double> v, std::vector<double>& global) const;
 
     la::CgOptions opts_;
     Hooks hooks_;
     /// Condensed index and sign of every element boundary mode, elements in
-    /// order, modes 0..nmb-1 within each.
+    /// run order (for_each_run), modes 0..nmb-1 within each.
     std::vector<int> slot_;
     std::vector<double> slot_sign_;
     /// Condensed indices of the Dirichlet dofs.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <numeric>
@@ -438,21 +439,15 @@ Comm Comm::split(int color, int key) {
     const std::size_t p = static_cast<std::size_t>(gsize_);
     record(CommKind::Split, 2 * sizeof(double));
     const std::uint32_t span = trace_begin("split", CommKind::Split, 2 * sizeof(double));
-    // Allgather every member's (color, key) through the staging area — the
-    // same three-rendezvous discipline as the data collectives.
-    {
-        std::lock_guard lk(g.exch_mtx);
-        if (g.exchange.size() < 2 * p) g.exchange.resize(2 * p);
-    }
-    world_->rendezvous_max(g, rs_->wall);
-    g.exchange[2 * static_cast<std::size_t>(grank_)] = static_cast<double>(color);
-    g.exchange[2 * static_cast<std::size_t>(grank_) + 1] = static_cast<double>(key);
-    world_->rendezvous_max(g, rs_->wall);
+    // Allgather every member's (color, key) through the staging area, like
+    // the data collectives.
+    const double color_key[2] = {static_cast<double>(color), static_cast<double>(key)};
+    const auto& staged =
+        exchange(color_key, world_->net_.allreduce_seconds(gsize_, 2 * sizeof(double),
+                                                           static_cast<int>(g.siblings)));
     std::vector<std::pair<int, int>> ck(p); // (color, key) per parent rank
     for (std::size_t r = 0; r < p; ++r)
-        ck[r] = {static_cast<int>(g.exchange[2 * r]), static_cast<int>(g.exchange[2 * r + 1])};
-    sync_and_charge(world_->net_.allreduce_seconds(gsize_, 2 * sizeof(double),
-                                                   static_cast<int>(g.siblings)));
+        ck[r] = {static_cast<int>(staged[r][0]), static_cast<int>(staged[r][1])};
     trace_end(span);
     ++split_seq_;
 
@@ -622,7 +617,7 @@ void Ialltoall::finish() {
     while (next_wait_ < nslices_) wait_slice(next_wait_);
 }
 
-double Comm::sync_and_charge(double coll_seconds) {
+void Comm::sync_and_charge(double coll_seconds) {
     // Per-rank perturbation: a straggler leaves the collective late, so its
     // peers accumulate idle time at the *next* synchronisation point —
     // exactly how a slow node degrades a real cluster.
@@ -631,60 +626,65 @@ double Comm::sync_and_charge(double coll_seconds) {
     const double idle = all - rs_->wall;
     rs_->wall = all + cost;
     rs_->cpu += (idle + cost) * world_->net_.cpu_poll_fraction;
-    return rs_->wall;
 }
+
+const std::vector<std::vector<double>>& Comm::exchange(std::span<const double> mine,
+                                                       double coll_seconds) {
+    detail::GroupState& g = *group_;
+    // Read without g.mtx: the generation advances only once every member,
+    // this rank included, has entered the rendezvous, and this rank last
+    // read it under the lock on its way out of the previous one.
+    auto& staged = g.staged[g.generation & 1];
+    staged[static_cast<std::size_t>(grank_)].assign(mine.begin(), mine.end());
+    sync_and_charge(coll_seconds);
+    return staged;
+}
+
+namespace {
+
+/// A blocking collective's peers must stage matching sizes; anything else
+/// is a caller bug, reported by each rank that reads the odd contribution.
+void require_staged_size(const std::vector<double>& staged, std::size_t n, const char* what) {
+    if (staged.size() != n)
+        throw std::runtime_error(std::string("simmpi: ") + what + " size mismatch across ranks");
+}
+
+} // namespace
 
 void Comm::alltoall(std::span<const double> send, std::span<double> recv, std::size_t block) {
     require("alltoall");
-    detail::GroupState& g = *group_;
     const std::size_t p = static_cast<std::size_t>(gsize_);
     if (send.size() != p * block || recv.size() != p * block)
         throw std::runtime_error("simmpi: alltoall size mismatch");
     const std::size_t bytes = block * sizeof(double);
     record(CommKind::Alltoall, bytes);
     const std::uint32_t span = trace_begin("alltoall", CommKind::Alltoall, bytes);
-
-    // Stage the data: group rank r owns rows [r*p*block, (r+1)*p*block).
-    {
-        std::lock_guard lk(g.exch_mtx);
-        if (g.exchange.size() < p * p * block) g.exchange.resize(p * p * block);
-    }
-    world_->rendezvous_max(g, rs_->wall); // everyone sized before anyone writes
-    std::copy(send.begin(), send.end(),
-              g.exchange.begin() +
-                  static_cast<std::ptrdiff_t>(static_cast<std::size_t>(grank_) * p * block));
-    world_->rendezvous_max(g, rs_->wall); // writes complete before reads
+    const auto& staged = exchange(
+        send, world_->net_.alltoall_seconds(gsize_, bytes, static_cast<int>(group_->siblings)));
+    const std::size_t me = static_cast<std::size_t>(grank_);
     for (std::size_t j = 0; j < p; ++j) {
-        const double* srcp = g.exchange.data() + (j * p + static_cast<std::size_t>(grank_)) * block;
+        require_staged_size(staged[j], p * block, "alltoall");
+        const double* srcp = staged[j].data() + me * block;
         std::copy(srcp, srcp + block, recv.begin() + static_cast<std::ptrdiff_t>(j * block));
     }
-    sync_and_charge(
-        world_->net_.alltoall_seconds(gsize_, bytes, static_cast<int>(g.siblings)));
     trace_end(span);
 }
 
 void Comm::allreduce_sum(std::span<double> data) {
     require("allreduce_sum");
-    detail::GroupState& g = *group_;
     const std::size_t n = data.size();
-    const std::size_t p = static_cast<std::size_t>(gsize_);
     record(CommKind::Allreduce, n * sizeof(double));
     const std::uint32_t span = trace_begin("allreduce", CommKind::Allreduce, n * sizeof(double));
-    {
-        std::lock_guard lk(g.exch_mtx);
-        if (g.exchange.size() < p * n) g.exchange.resize(p * n);
-    }
-    world_->rendezvous_max(g, rs_->wall);
-    std::copy(data.begin(), data.end(),
-              g.exchange.begin() + static_cast<std::ptrdiff_t>(static_cast<std::size_t>(grank_) * n));
-    world_->rendezvous_max(g, rs_->wall);
+    const auto& staged =
+        exchange(data, world_->net_.allreduce_seconds(gsize_, n * sizeof(double),
+                                                      static_cast<int>(group_->siblings)));
+    for (const auto& v : staged) require_staged_size(v, n, "allreduce");
+    // Ranks 0..p-1 from 0.0: the sum is independent of host scheduling.
     for (std::size_t i = 0; i < n; ++i) {
         double s = 0.0;
-        for (std::size_t r = 0; r < p; ++r) s += g.exchange[r * n + i];
+        for (const auto& v : staged) s += v[i];
         data[i] = s;
     }
-    sync_and_charge(
-        world_->net_.allreduce_seconds(gsize_, n * sizeof(double), static_cast<int>(g.siblings)));
     trace_end(span);
 }
 
@@ -696,21 +696,19 @@ double Comm::allreduce_sum(double v) {
 
 double Comm::allreduce_max(double v) {
     require("allreduce_max");
-    detail::GroupState& g = *group_;
-    const std::size_t p = static_cast<std::size_t>(gsize_);
     record(CommKind::Allreduce, sizeof(double));
     const std::uint32_t span = trace_begin("allreduce", CommKind::Allreduce, sizeof(double));
-    {
-        std::lock_guard lk(g.exch_mtx);
-        if (g.exchange.size() < p) g.exchange.resize(p);
+    const auto& staged = exchange(
+        std::span<const double>(&v, 1),
+        world_->net_.allreduce_seconds(gsize_, sizeof(double), static_cast<int>(group_->siblings)));
+    for (const auto& x : staged) require_staged_size(x, 1, "allreduce");
+    // A NaN on any rank is the result: std::max alone keeps one only when
+    // rank 0 holds it.
+    double m = staged[0][0];
+    for (std::size_t r = 1; r < staged.size(); ++r) {
+        const double x = staged[r][0];
+        if (std::isnan(x) || m < x) m = x;
     }
-    world_->rendezvous_max(g, rs_->wall);
-    g.exchange[static_cast<std::size_t>(grank_)] = v;
-    world_->rendezvous_max(g, rs_->wall);
-    double m = g.exchange[0];
-    for (std::size_t r = 1; r < p; ++r) m = std::max(m, g.exchange[r]);
-    sync_and_charge(
-        world_->net_.allreduce_seconds(gsize_, sizeof(double), static_cast<int>(g.siblings)));
     trace_end(span);
     return m;
 }
@@ -719,47 +717,36 @@ double Comm::allreduce_min(double v) { return -allreduce_max(-v); }
 
 void Comm::gather(std::span<const double> send, std::vector<double>& recv, int root) {
     require("gather");
-    detail::GroupState& g = *group_;
     const std::size_t n = send.size();
-    const std::size_t p = static_cast<std::size_t>(gsize_);
     record(CommKind::Gather, n * sizeof(double));
     const std::uint32_t span = trace_begin("gather", CommKind::Gather, n * sizeof(double));
-    {
-        std::lock_guard lk(g.exch_mtx);
-        if (g.exchange.size() < p * n) g.exchange.resize(p * n);
-    }
-    world_->rendezvous_max(g, rs_->wall);
-    std::copy(send.begin(), send.end(),
-              g.exchange.begin() + static_cast<std::ptrdiff_t>(static_cast<std::size_t>(grank_) * n));
-    world_->rendezvous_max(g, rs_->wall);
+    const auto& staged =
+        exchange(send, world_->net_.gather_seconds(gsize_, n * sizeof(double),
+                                                   static_cast<int>(group_->siblings)));
     if (grank_ == root) {
-        recv.assign(g.exchange.begin(),
-                    g.exchange.begin() + static_cast<std::ptrdiff_t>(p * n));
+        recv.clear();
+        for (const auto& v : staged) {
+            require_staged_size(v, n, "gather");
+            recv.insert(recv.end(), v.begin(), v.end());
+        }
     }
-    sync_and_charge(
-        world_->net_.gather_seconds(gsize_, n * sizeof(double), static_cast<int>(g.siblings)));
     trace_end(span);
 }
 
 void Comm::bcast(std::span<double> data, int root) {
     require("bcast");
-    detail::GroupState& g = *group_;
     const std::size_t n = data.size();
     record(CommKind::Bcast, n * sizeof(double));
     const std::uint32_t span = trace_begin("bcast", CommKind::Bcast, n * sizeof(double));
-    {
-        std::lock_guard lk(g.exch_mtx);
-        if (g.exchange.size() < n) g.exchange.resize(n);
+    const auto& staged = exchange(
+        grank_ == root ? std::span<const double>(data) : std::span<const double>(),
+        world_->net_.gather_seconds(gsize_, n * sizeof(double),
+                                    static_cast<int>(group_->siblings)));
+    if (grank_ != root) {
+        const auto& from = staged[static_cast<std::size_t>(root)];
+        require_staged_size(from, n, "bcast");
+        std::copy(from.begin(), from.end(), data.begin());
     }
-    world_->rendezvous_max(g, rs_->wall);
-    if (grank_ == root)
-        std::copy(data.begin(), data.end(), g.exchange.begin());
-    world_->rendezvous_max(g, rs_->wall);
-    if (grank_ != root)
-        std::copy(g.exchange.begin(),
-                  g.exchange.begin() + static_cast<std::ptrdiff_t>(n), data.begin());
-    sync_and_charge(
-        world_->net_.gather_seconds(gsize_, n * sizeof(double), static_cast<int>(g.siblings)));
     trace_end(span);
 }
 
@@ -792,17 +779,16 @@ int checked_rank_count(int nprocs) {
 World::World(int nprocs, netsim::NetworkModel net)
     : nprocs_(checked_rank_count(nprocs)),
       net_(std::move(net)),
-      mailboxes_(static_cast<std::size_t>(nprocs_)),
-      world_group_(std::make_shared<detail::GroupState>()) {
-    world_group_->ctx = 0;
-    world_group_->members.resize(static_cast<std::size_t>(nprocs));
-    std::iota(world_group_->members.begin(), world_group_->members.end(), 0);
+      mailboxes_(static_cast<std::size_t>(nprocs_)) {
+    std::vector<int> members(static_cast<std::size_t>(nprocs_));
+    std::iota(members.begin(), members.end(), 0);
+    world_group_ = std::make_shared<detail::GroupState>(0, std::move(members), 1);
 }
 
 void World::deliver(int dest, Message msg) {
     Mailbox& box = mailboxes_[static_cast<std::size_t>(dest)];
     std::lock_guard lk(box.mtx);
-    box.queue.push_back(std::move(msg));
+    box.channels[{msg.src, msg.tag, msg.ctx}].push_back(std::move(msg));
     // The receiver parked on its mailbox; hand it back to its home worker.
     // (Lock order box.mtx -> scheduler mutex matches park().)
     if (box.waiting_task >= 0) sched_->unpark(box.waiting_task);
@@ -813,19 +799,19 @@ void World::abort_world() {
     sched_->unpark_all();
 }
 
+World::Message World::pop_front(Mailbox& box, ChannelMap::iterator it) {
+    Message msg = std::move(it->second.front());
+    it->second.pop_front();
+    if (it->second.empty()) box.channels.erase(it);
+    return msg;
+}
+
 World::Message World::take(int self, int src, std::uint64_t ctx, int tag) {
     Mailbox& box = mailboxes_[static_cast<std::size_t>(self)];
     std::unique_lock lk(box.mtx);
-    const auto match = [&](const Message& m) {
-        return m.src == src && m.ctx == ctx && m.tag == tag;
-    };
     for (;;) {
-        const auto it = std::find_if(box.queue.begin(), box.queue.end(), match);
-        if (it != box.queue.end()) {
-            Message msg = std::move(*it);
-            box.queue.erase(it);
-            return msg;
-        }
+        const auto it = box.channels.find({src, tag, ctx});
+        if (it != box.channels.end()) return pop_front(box, it);
         if (aborted_.load()) throw Aborted{};
         // Park this rank's fiber until a delivery (or an abort) wakes it.
         // A missing send is caught by the scheduler's exact quiescence
@@ -839,15 +825,11 @@ World::Message World::take(int self, int src, std::uint64_t ctx, int tag) {
 bool World::try_take(int self, int src, std::uint64_t ctx, int tag, double wall, Message& out) {
     Mailbox& box = mailboxes_[static_cast<std::size_t>(self)];
     std::lock_guard lk(box.mtx);
-    // Only the first queued (src, ctx, tag) match is eligible: a later
-    // message on the same channel never jumps an earlier one, so test()
-    // preserves the sender's program order exactly like wait() does.
-    const auto it = std::find_if(box.queue.begin(), box.queue.end(), [&](const Message& m) {
-        return m.src == src && m.ctx == ctx && m.tag == tag;
-    });
-    if (it == box.queue.end() || it->avail_time > wall) return false;
-    out = std::move(*it);
-    box.queue.erase(it);
+    // Only the channel's oldest message is eligible: a later one never jumps
+    // it, so test() preserves the sender's program order exactly like wait().
+    const auto it = box.channels.find({src, tag, ctx});
+    if (it == box.channels.end() || it->second.front().avail_time > wall) return false;
+    out = pop_front(box, it);
     return true;
 }
 
@@ -883,10 +865,7 @@ std::shared_ptr<detail::GroupState> World::intern_group(std::uint64_t ctx,
     std::lock_guard lk(groups_mtx_);
     auto& slot = groups_[ctx];
     if (!slot) {
-        slot = std::make_shared<detail::GroupState>();
-        slot->ctx = ctx;
-        slot->members = std::move(members);
-        slot->siblings = siblings;
+        slot = std::make_shared<detail::GroupState>(ctx, std::move(members), siblings);
     } else if (slot->members != members || slot->siblings != siblings) {
         // Two distinct groups hashing to one context would cross-match
         // messages silently; fail loudly instead (astronomically unlikely).
@@ -972,7 +951,7 @@ std::vector<RankReport> World::run(const std::function<void(Comm&)>& fn) {
         // same World after a kill.
         aborted_.store(false);
         for (auto& box : mailboxes_) {
-            box.queue.clear();
+            box.channels.clear();
             box.waiting_task = -1;
         }
         const auto scrub = [](detail::GroupState& g) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -11,6 +12,8 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
@@ -35,13 +38,14 @@
 /// of timings indicates idle CPU time, which is associated with network
 /// inefficiency" (§4.2).
 ///
-/// Collectives (alltoall, allreduce, gather, bcast, barrier) are built over
-/// a shared exchange area with real data movement and are charged from the
-/// network model's collective costs.  Comm::split(color, key) derives
-/// subcommunicators (the row/column communicators of a 2-D pencil
-/// decomposition); every communication event records the communicator size
-/// and how many sibling communicators ran it concurrently, so a log can be
-/// re-priced on topologies where concurrent groups share the wire.
+/// Collectives (alltoall, allreduce, gather, bcast, barrier) move real data
+/// through a per-communicator staging area, synchronise once per call, and
+/// are charged from the network model's collective costs.
+/// Comm::split(color, key) derives subcommunicators (the row/column
+/// communicators of a 2-D pencil decomposition); every communication event
+/// records the communicator size and how many sibling communicators ran it
+/// concurrently, so a log can be re-priced on topologies where concurrent
+/// groups share the wire.
 ///
 /// If the network model carries an enabled netsim::FaultModel, every
 /// communication cost is perturbed deterministically (seed, rank, per-rank
@@ -224,6 +228,11 @@ struct RankState {
 /// communicator has ctx 0; split() interns one GroupState per derived
 /// context in the World registry (first arriver creates it).
 struct GroupState {
+    GroupState(std::uint64_t context, std::vector<int> world_ranks, std::uint32_t nsiblings)
+        : ctx(context), members(std::move(world_ranks)), siblings(nsiblings) {
+        for (auto& buffer : staged) buffer.resize(members.size());
+    }
+
     std::uint64_t ctx = 0;
     std::vector<int> members; ///< world rank of each group rank, in group order
     std::uint32_t siblings = 1; ///< concurrent communicators from the same split
@@ -236,8 +245,13 @@ struct GroupState {
     double result = 0.0; ///< snapshot of max_wall for the completed generation
     std::vector<int> parked; ///< task ids parked in this rendezvous
 
-    std::mutex exch_mtx;
-    std::vector<double> exchange; ///< collective staging area
+    /// Collective staging, one slot per group rank, double-buffered by the
+    /// parity of the rendezvous generation a collective completes on.  Only
+    /// its owner writes a slot, before the rendezvous; peers read it after.
+    /// A slot is rewritten two generations later, which its owner can reach
+    /// only once every member has entered the generation in between, and
+    /// each member finishes reading before it enters its next rendezvous.
+    std::array<std::vector<std::vector<double>>, 2> staged;
 };
 
 } // namespace detail
@@ -402,9 +416,10 @@ public:
     Ialltoall ialltoall(std::span<double> recv, std::size_t block, std::size_t nslices = 1,
                         std::size_t granule = 1);
 
-    /// MPI_Allreduce(SUM) in place.
+    /// MPI_Allreduce(SUM) in place, summed over ranks 0..size()-1 from 0.0.
     void allreduce_sum(std::span<double> data);
     [[nodiscard]] double allreduce_sum(double v);
+    /// NaN if any rank passes NaN.
     [[nodiscard]] double allreduce_max(double v);
     [[nodiscard]] double allreduce_min(double v);
 
@@ -480,9 +495,14 @@ private:
     /// enabled fault model this returns `base_seconds` bit-exactly.
     double faulted_cost(double base_seconds);
     /// Synchronises this communicator's ranks, sets every wall clock to the
-    /// max, then adds `coll_seconds` (fault-perturbed per rank); returns the
-    /// post-collective wall time.
-    double sync_and_charge(double coll_seconds);
+    /// max, then adds `coll_seconds` (fault-perturbed per rank).
+    void sync_and_charge(double coll_seconds);
+    /// The data phase of every blocking collective: stages `mine` in this
+    /// rank's slot, then synchronises and charges exactly like
+    /// sync_and_charge (one rendezvous).  Returns every group rank's staged
+    /// contribution, valid until this rank's next collective on the group.
+    const std::vector<std::vector<double>>& exchange(std::span<const double> mine,
+                                                     double coll_seconds);
 
     /// Queues a background transfer of unfaulted cost `base_cost` on this
     /// rank's NIC (posts serialize); fills the message's avail/cost fields
@@ -558,9 +578,28 @@ private:
 
     using Message = detail::Message;
 
+    /// A (src, ctx, tag) matching channel: messages on one channel arrive
+    /// in the sender's program order.
+    struct Channel {
+        int src;
+        int tag;
+        std::uint64_t ctx;
+        bool operator==(const Channel&) const = default;
+    };
+    struct ChannelHash {
+        std::size_t operator()(const Channel& c) const noexcept {
+            const std::uint64_t st =
+                (std::uint64_t{static_cast<std::uint32_t>(c.src)} << 32) |
+                static_cast<std::uint32_t>(c.tag);
+            return static_cast<std::size_t>(c.ctx ^ (st * 0x9e3779b97f4a7c15ull));
+        }
+    };
+    /// One FIFO per channel, so matching is a hash lookup; a channel is
+    /// erased when it drains.
+    using ChannelMap = std::unordered_map<Channel, std::deque<Message>, ChannelHash>;
     struct Mailbox {
         std::mutex mtx;
-        std::deque<Message> queue;
+        ChannelMap channels;
         int waiting_task = -1; ///< task parked on this mailbox
     };
 
@@ -568,6 +607,9 @@ private:
     struct Aborted {};
 
     void deliver(int dest, Message msg);
+    /// Pops a channel's oldest message (box.mtx held), erasing the channel
+    /// once it is empty.
+    static Message pop_front(Mailbox& box, ChannelMap::iterator it);
     Message take(int self, int src, std::uint64_t ctx, int tag);
     /// Nonblocking probe: pops the first (src, ctx, tag) match only if it
     /// exists AND its avail_time has passed in the receiver's virtual time

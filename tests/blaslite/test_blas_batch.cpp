@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <numeric>
 #include <random>
 #include <tuple>
 #include <vector>
@@ -158,3 +161,101 @@ TEST(BatchGemm, EmptyBatchIsANoOp) {
 }
 
 } // namespace
+
+namespace {
+
+/// Counts charged by `f` on this thread.
+template <class F>
+blaslite::OpCounts counts_of(F&& f) {
+    const blaslite::CountScope scope;
+    f();
+    return scope.delta();
+}
+
+void expect_same_counts(const blaslite::OpCounts& got, const blaslite::OpCounts& want,
+                        std::size_t n) {
+    EXPECT_EQ(got.flops, want.flops) << "n=" << n;
+    EXPECT_EQ(got.bytes_read, want.bytes_read) << "n=" << n;
+    EXPECT_EQ(got.bytes_written, want.bytes_written) << "n=" << n;
+    EXPECT_EQ(got.calls, want.calls) << "n=" << n;
+}
+
+} // namespace
+
+TEST(GatherGemmScatter, MatchesPerElementDgemmCmBitwise) {
+    // Several elements share slots (a slot's sums depend on their order),
+    // signs are mixed, and n spans one to four accumulators plus ragged
+    // tails.
+    constexpr std::size_t count = 7;
+    for (std::size_t n = 3; n <= 32; ++n) {
+        const std::size_t ld = blaslite::padded_ld(n);
+        ASSERT_GE(ld, n);
+        ASSERT_EQ(ld % 8, 0u);
+        const auto a = random_vec(n * n, 40 + static_cast<unsigned>(n));
+        std::vector<double> slab(ld * n, 0.0);
+        for (std::size_t c = 0; c < n; ++c)
+            for (std::size_t i = 0; i < n; ++i) slab[c * ld + i] = a[c * n + i];
+        // Element e's modes take distinct slots, shuffled and shifted by
+        // e n / 2, so neighbouring elements overlap by half.
+        const std::size_t nslots = 2 * n;
+        std::vector<std::size_t> perm(n);
+        std::iota(perm.begin(), perm.end(), std::size_t{0});
+        std::shuffle(perm.begin(), perm.end(), std::mt19937(static_cast<unsigned>(n)));
+        std::vector<int> slot(count * n);
+        std::vector<double> sign(count * n);
+        for (std::size_t e = 0; e < count; ++e)
+            for (std::size_t i = 0; i < n; ++i) {
+                slot[e * n + i] = static_cast<int>((e * (n / 2) + perm[i]) % nslots);
+                sign[e * n + i] = (e + i) % 3 == 0 ? -1.0 : 1.0;
+            }
+        const auto p = random_vec(nslots, 90 + static_cast<unsigned>(n));
+
+        std::vector<double> want(nslots, 0.0), x(n), y(n);
+        for (std::size_t e = 0; e < count; ++e) {
+            for (std::size_t i = 0; i < n; ++i)
+                x[i] = sign[e * n + i] * p[static_cast<std::size_t>(slot[e * n + i])];
+            blaslite::dgemm_cm(1.0, a.data(), n, x.data(), n, 0.0, y.data(), n, n, 1, n);
+            for (std::size_t i = 0; i < n; ++i)
+                want[static_cast<std::size_t>(slot[e * n + i])] += sign[e * n + i] * y[i];
+        }
+        std::vector<double> got(nslots, 0.0);
+        blaslite::gather_gemm_scatter(slab.data(), n, count, slot.data(), sign.data(), p.data(),
+                                      got.data());
+        for (std::size_t s = 0; s < nslots; ++s)
+            EXPECT_EQ(std::memcmp(&got[s], &want[s], sizeof(double)), 0)
+                << "n=" << n << " slot " << s << ": " << got[s] << " vs " << want[s];
+    }
+}
+
+TEST(GatherGemmScatter, ChargesTheCallsItReplaces) {
+    constexpr std::size_t count = 5;
+    for (const std::size_t n : {3u, 8u, 16u, 27u}) {
+        const std::vector<double> slab(blaslite::padded_ld(n) * n, 0.5), a(n * n, 0.5);
+        std::vector<int> slot(count * n);
+        for (std::size_t i = 0; i < slot.size(); ++i) slot[i] = static_cast<int>(i % n);
+        const std::vector<double> sign(count * n, 1.0), p(n, 1.0), panel(n * count, 1.0);
+        std::vector<double> q(n), y(n * count);
+        // A run of a contiguous group: one dgemm_cm over its panel.
+        expect_same_counts(counts_of([&] {
+                               blaslite::gather_gemm_scatter(slab.data(), n, count, slot.data(),
+                                                             sign.data(), p.data(), q.data());
+                           }),
+                           counts_of([&] {
+                               blaslite::dgemm_cm(1.0, a.data(), n, panel.data(), n, 0.0,
+                                                  y.data(), n, n, count, n);
+                           }),
+                           n);
+        // A run of a scattered group: one dgemv per element.
+        expect_same_counts(counts_of([&] {
+                               blaslite::gather_gemm_scatter(slab.data(), n, count, slot.data(),
+                                                             sign.data(), p.data(), q.data(),
+                                                             /*per_element_gemv=*/true);
+                           }),
+                           counts_of([&] {
+                               for (std::size_t e = 0; e < count; ++e)
+                                   blaslite::dgemv(1.0, a.data(), n, n, n, panel.data(), 0.0,
+                                                   y.data());
+                           }),
+                           n);
+    }
+}

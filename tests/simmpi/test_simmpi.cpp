@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <vector>
+
+#include "parallel/thread_pool.hpp"
 
 namespace {
 
@@ -201,6 +209,185 @@ TEST(SimMpi, SendRecvExchangesWithoutDeadlock) {
         EXPECT_DOUBLE_EQ(from_right[0], right);
         EXPECT_DOUBLE_EQ(from_left[0], left);
     });
+}
+
+TEST(SimMpi, MaxAndMinReturnNanWhicheverRankHoldsIt) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const int p : {1, 2, 5}) {
+        for (int holder = 0; holder < p; ++holder) {
+            simmpi::World world(p, test_net());
+            std::vector<double> mx(static_cast<std::size_t>(p)), mn(mx.size());
+            world.run([&](simmpi::Comm& c) {
+                const double v = c.rank() == holder ? nan : static_cast<double>(c.rank());
+                mx[static_cast<std::size_t>(c.rank())] = c.allreduce_max(v);
+                mn[static_cast<std::size_t>(c.rank())] = c.allreduce_min(v);
+            });
+            for (int r = 0; r < p; ++r) {
+                EXPECT_TRUE(std::isnan(mx[static_cast<std::size_t>(r)]))
+                    << "p=" << p << " NaN on rank " << holder;
+                EXPECT_TRUE(std::isnan(mn[static_cast<std::size_t>(r)]))
+                    << "p=" << p << " NaN on rank " << holder;
+            }
+        }
+    }
+}
+
+/// One step of the staging-reuse program: a collective on the world or on
+/// the split subcommunicator.
+struct MixedOp {
+    enum Kind { Sum, Max, Alltoall, Gather, Bcast, Barrier } kind;
+    std::size_t n; ///< doubles per rank (per block for alltoall)
+    bool sub;
+    int root;
+};
+
+std::uint64_t splitmix(std::uint64_t x) {
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/// Rank `wr`'s i-th input to step k, in [-1, 1) with full mantissas so
+/// any change of summation order shows in the bits.
+double mixed_input(int wr, std::size_t k, std::size_t i) {
+    const std::uint64_t h = splitmix((std::uint64_t(wr) << 48) ^ (std::uint64_t(k) << 24) ^ i);
+    return std::ldexp(static_cast<double>(h >> 11), -52) - 1.0;
+}
+
+TEST(SimMpi, StagingBuffersSurviveReuseAcrossMixedCollectives) {
+    // Six ranks split into two subcommunicators (by parity, reversed
+    // order); each rank's uneven host work between calls lets fast ranks run
+    // ahead into the next collective while slow ones still read the last.
+    constexpr int p = 6;
+    constexpr std::size_t steps = 120;
+    const std::size_t sum_sizes[] = {1, 2, 7, 1000};
+    std::vector<MixedOp> ops;
+    std::uint64_t rng = 20261019;
+    int roots = 0;
+    for (std::size_t k = 0; k < steps; ++k) {
+        rng = splitmix(rng);
+        const auto kind = static_cast<MixedOp::Kind>(rng % 6);
+        const std::size_t n =
+            kind == MixedOp::Sum ? sum_sizes[(rng >> 8) % 4] : 1 + (rng >> 16) % 40;
+        ops.push_back({kind, n, ((rng >> 32) & 1) != 0, roots});
+        if (kind == MixedOp::Bcast || kind == MixedOp::Gather) ++roots;
+    }
+    const auto group_of = [](int wr, bool sub) {
+        std::vector<int> g;
+        for (int r = 0; r < p; ++r)
+            if (!sub || r % 2 == wr % 2) g.push_back(r);
+        if (sub) std::reverse(g.begin(), g.end()); // key = -world rank
+        return g;
+    };
+
+    // Serial reference: what every rank must receive, step by step.
+    std::vector<std::vector<std::vector<double>>> want(p);
+    for (int wr = 0; wr < p; ++wr) {
+        for (std::size_t k = 0; k < steps; ++k) {
+            const MixedOp& op = ops[k];
+            const std::vector<int> g = group_of(wr, op.sub);
+            const auto gsize = g.size();
+            const auto me = static_cast<std::size_t>(std::find(g.begin(), g.end(), wr) - g.begin());
+            const auto root = static_cast<std::size_t>(op.root) % gsize;
+            std::vector<double> out;
+            switch (op.kind) {
+                case MixedOp::Sum:
+                    for (std::size_t i = 0; i < op.n; ++i) {
+                        double s = 0.0;
+                        for (int m : g) s += mixed_input(m, k, i);
+                        out.push_back(s);
+                    }
+                    break;
+                case MixedOp::Max: {
+                    double m = mixed_input(g[0], k, 0);
+                    for (int r : g) m = std::max(m, mixed_input(r, k, 0));
+                    out.push_back(m);
+                    break;
+                }
+                case MixedOp::Alltoall:
+                    for (int m : g)
+                        for (std::size_t i = 0; i < op.n; ++i)
+                            out.push_back(mixed_input(m, k, me * op.n + i));
+                    break;
+                case MixedOp::Gather:
+                    if (me == root)
+                        for (int m : g)
+                            for (std::size_t i = 0; i < op.n; ++i)
+                                out.push_back(mixed_input(m, k, i));
+                    break;
+                case MixedOp::Bcast:
+                    for (std::size_t i = 0; i < op.n; ++i)
+                        out.push_back(mixed_input(g[root], k, i));
+                    break;
+                case MixedOp::Barrier: break;
+            }
+            want[static_cast<std::size_t>(wr)].push_back(std::move(out));
+        }
+    }
+
+    const unsigned threads_before = parallel::num_threads();
+    for (const unsigned threads : {1u, 2u}) {
+        parallel::set_num_threads(threads);
+        std::vector<std::vector<std::vector<double>>> got(p);
+        simmpi::World world(p, test_net());
+        world.run([&](simmpi::Comm& world_comm) {
+            const int wr = world_comm.rank();
+            simmpi::Comm sub = world_comm.split(wr % 2, -wr);
+            auto& mine = got[static_cast<std::size_t>(wr)];
+            volatile double sink = 0.0;
+            for (std::size_t k = 0; k < steps; ++k) {
+                for (std::size_t spin = 0; spin < 1000 * ((wr * 7 + k) % 11); ++spin)
+                    sink = sink + std::sqrt(static_cast<double>(spin));
+                const MixedOp& op = ops[k];
+                simmpi::Comm& c = op.sub ? sub : world_comm;
+                const auto gsize = static_cast<std::size_t>(c.size());
+                const int root = op.root % c.size();
+                std::vector<double> out;
+                switch (op.kind) {
+                    case MixedOp::Sum:
+                        for (std::size_t i = 0; i < op.n; ++i) out.push_back(mixed_input(wr, k, i));
+                        c.allreduce_sum(out);
+                        break;
+                    case MixedOp::Max:
+                        out.push_back(c.allreduce_max(mixed_input(wr, k, 0)));
+                        break;
+                    case MixedOp::Alltoall: {
+                        std::vector<double> send(gsize * op.n);
+                        for (std::size_t i = 0; i < send.size(); ++i)
+                            send[i] = mixed_input(wr, k, i);
+                        out.resize(send.size());
+                        c.alltoall(send, out, op.n);
+                        break;
+                    }
+                    case MixedOp::Gather: {
+                        std::vector<double> send(op.n);
+                        for (std::size_t i = 0; i < op.n; ++i) send[i] = mixed_input(wr, k, i);
+                        c.gather(send, out, root);
+                        break;
+                    }
+                    case MixedOp::Bcast:
+                        out.resize(op.n);
+                        if (c.rank() == root)
+                            for (std::size_t i = 0; i < op.n; ++i) out[i] = mixed_input(wr, k, i);
+                        c.bcast(out, root);
+                        break;
+                    case MixedOp::Barrier: c.barrier(); break;
+                }
+                mine.push_back(std::move(out));
+            }
+        });
+        for (int wr = 0; wr < p; ++wr)
+            for (std::size_t k = 0; k < steps; ++k) {
+                const auto& a = got[static_cast<std::size_t>(wr)][k];
+                const auto& b = want[static_cast<std::size_t>(wr)][k];
+                ASSERT_EQ(a.size(), b.size()) << "rank " << wr << " step " << k;
+                EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+                    << threads << " worker(s), rank " << wr << " step " << k << " kind "
+                    << ops[k].kind << (ops[k].sub ? " (subcomm)" : " (world)");
+            }
+    }
+    parallel::set_num_threads(threads_before);
 }
 
 } // namespace
